@@ -302,27 +302,27 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list[np.ndarray]:
-    """Shuffled-then-chunked index partition for one epoch.
+    """Class-stratified index partition for one epoch.
 
-    Every epoch reshuffles with a stream derived from (seed, epoch).  Chunk
-    sizes differ by at most one.  A chunk without both classes is an error:
-    the objective normalizes by the batch's positive count, so the caller
-    must lower ``n_minibatch``.
+    Every epoch shuffles the positives and the negatives separately with a
+    stream derived from (seed, epoch), lines up the shuffled positives
+    followed by the shuffled negatives and deals them round-robin into
+    ``n_minibatch`` chunks.  Chunk sizes, and each chunk's count of either
+    class, differ by at most one.  The objective normalizes by the batch's
+    positive count, so every chunk must hold both classes: more than
+    min(n_pos, n_neg) chunks is an error.
     """
     if not 1 <= n_minibatch <= d.n:
         raise ValueError(f"n_minibatch must be in [1, {d.n}], got {n_minibatch}")
+    if n_minibatch > 1 and n_minibatch > min(d.n_pos, d.n_neg):
+        raise ValueError(
+            f"n_minibatch={n_minibatch} exceeds min(n_pos, n_neg) = "
+            f"{min(d.n_pos, d.n_neg)}, so a minibatch would contain one class only; "
+            "reduce n_minibatch"
+        )
     rng = np.random.default_rng([seed, epoch])
-    order = rng.permutation(d.n)
-    chunks = np.array_split(order, n_minibatch)
-    if n_minibatch > 1:
-        for i, chunk in enumerate(chunks):
-            chunk_labels = d.labels[chunk]
-            if not chunk_labels.any() or chunk_labels.all():
-                raise ValueError(
-                    f"minibatch {i} of epoch {epoch} contains one class only; "
-                    "reduce n_minibatch"
-                )
-    return chunks
+    order = np.concatenate((rng.permutation(d.pos_idx), rng.permutation(d.neg_idx)))
+    return [order[i::n_minibatch] for i in range(n_minibatch)]
 
 
 def make_minibatches(d: Dataset, n_minibatch: int, seed: int) -> MinibatchPlan:

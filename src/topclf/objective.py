@@ -12,6 +12,12 @@ what keeps them away from the all-zero minimizer at the price of convexity.
 The gradient differentiates through the threshold:
 
     grad f(w) = (1/n+) sum l'(t(w) - w.x) (grad t(w) - x) + lambda w
+
+Since grad t(w) = sum_i a_i x_i with the coefficients a_i returned by the
+threshold rule, the whole gradient is one weighted sum of feature rows,
+c @ X: each positive carries -l'(t - w.x)/n+, each negative l'(w.x - t)/n-
+when the false-positive term is on, and each threshold support sample adds
+s * a_i, where s is the net sum of those derivatives.
 """
 
 from __future__ import annotations
@@ -80,20 +86,25 @@ def evaluate(
     w = np.asarray(w, dtype=np.float64)
     z = scores(w, d)
     tres = threshold_scored(spec.rule, z, d, spec.loss)
-    xp = d.features[d.pos_idx]
     up = tres.t - z[d.pos_idx]
 
     value = float(spec.loss.value(up).mean())
     dup = spec.loss.deriv(up)
-    grad = (dup.sum() * tres.grad_t - dup @ xp) / d.n_pos
+    # per-sample coefficients c of the gradient c @ X
+    c = np.zeros(d.n)
+    c[d.pos_idx] = dup / -d.n_pos
+    s = dup.sum() / d.n_pos
 
     if spec.include_fp:
-        xn = d.features[d.neg_idx]
         un = z[d.neg_idx] - tres.t
         value += float(spec.loss.value(un).mean())
         dun = spec.loss.deriv(un)
-        grad += (dun @ xn - dun.sum() * tres.grad_t) / d.n_neg
+        c[d.neg_idx] = dun / d.n_neg
+        s -= dun.sum() / d.n_neg
 
+    # support indices are distinct, so the scatter-add is exact
+    c[tres.support] += s * tres.weights
+    grad = c @ d.features
     if spec.lam:
         value += 0.5 * spec.lam * float(w @ w)
         grad = grad + spec.lam * w

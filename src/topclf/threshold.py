@@ -16,17 +16,20 @@ top_mean             mean of the ceil(n*tau) largest scores
 top_mean_np          mean of the ceil(n_neg*tau) largest negative scores
 ==================== ======================================================
 
-The top-k-mean rules return the mean of the supporting feature vectors as
-the threshold gradient; the surrogate-quantile rules return the implicit
-gradient sum(l'(beta*(z_i-t)) x_i) / sum(l'(beta*(z_i-t))); the exact
-quantile rules return a zero gradient and expect the caller to recompute t
-after each step.
+Every threshold gradient is a weighted sum of sample rows,
+grad t(w) = sum_i a_i x_i, so a rule returns the per-sample coefficients a_i
+on its support instead of a feature vector.  The top-k-mean rules put 1/k on
+the k supporting samples; the surrogate-quantile rules put the implicit
+weights l'(beta*(z_i-t)) / sum_j l'(beta*(z_j-t)) on the samples with a
+positive derivative; the exact quantile rules put zero on the samples tied
+at t and expect the caller to recompute t after each step.  The objective
+folds these coefficients into a single product with the feature matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,15 +115,23 @@ class ThresholdRule:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Threshold value, its gradient in w, and the samples determining it.
+    """Threshold value, the samples determining it and their gradient weights.
 
     ``support`` holds indices into the dataset the threshold was computed on
-    (batch-relative when evaluated on a minibatch).
+    (batch-relative when evaluated on a minibatch); ``weights[j]`` is the
+    coefficient of row ``support[j]`` in the threshold gradient.
+    ``features`` is that dataset's feature matrix, kept by reference.
     """
 
     t: float
-    grad_t: np.ndarray
     support: np.ndarray
+    weights: np.ndarray
+    features: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def grad_t(self) -> np.ndarray:
+        """Gradient of t in w: sum_j weights[j] * features[support[j]]."""
+        return self.weights @ self.features[self.support]
 
 
 def rule_from_token(
@@ -163,10 +174,22 @@ def top_k_mean(values: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     values = np.asarray(values, dtype=np.float64)
     if not 1 <= k <= values.size:
         raise ValueError(f"k must be in [1, {values.size}], got {k}")
-    # stable argsort of the negated values: descending, ties by low index
-    order = np.argsort(-values, kind="stable")
-    support = order[:k]
-    return float(values[support].mean()), support
+    if k == 1:
+        # argmax returns the first maximal index
+        support = np.array([np.argmax(values)])
+        return float(values[support[0]]), support
+    # linear-time selection of the k-th largest value
+    kth = np.partition(values, values.size - k)[values.size - k]
+    support = np.nonzero(values >= kth)[0]
+    excess = support.size - k
+    if excess:
+        # more than k entries reach the k-th value: drop the highest-index ties
+        tied = np.nonzero(values[support] == kth)[0]
+        support = np.delete(support, tied[-excess:])
+    # descending by value, ties by low index: the order of a stable sort
+    support = support[np.argsort(-values[support], kind="stable")]
+    # sum / k has the same bits as mean() and skips its overhead
+    return float(values[support].sum() / k), support
 
 
 def exact_quantile(values: np.ndarray, tau: float) -> float:
@@ -277,9 +300,10 @@ def threshold_scored(
     kind = rule.kind
     if kind in NEGATIVE_KINDS:
         sel = d.neg_idx
+        zsel = z[sel]
     else:
-        sel = np.arange(d.n)
-    zsel = z[sel]
+        sel = None
+        zsel = z
     if zsel.size == 0:
         raise ValueError(f"{kind} needs at least one sample in its score pool")
 
@@ -294,30 +318,26 @@ def threshold_scored(
             _check_tau_pool(rule.tau, zsel.size, kind)
             k = math.ceil(rule.tau * zsel.size)
         t, local = top_k_mean(zsel, k)
-        support = sel[local]
-        grad = d.features[support].mean(axis=0)
-        return ThresholdResult(t=t, grad_t=grad, support=support)
-
-    if kind in QUANTILE_KINDS:
+        weights = np.full(k, 1.0 / k)
+    elif kind in QUANTILE_KINDS:
         _check_tau_pool(rule.tau, zsel.size, kind)
         t = exact_quantile(zsel, rule.tau)
         # gradient treated as zero: t is recomputed after every step
-        grad = np.zeros(d.m)
-        support = sel[zsel == t]
-        return ThresholdResult(t=t, grad_t=grad, support=support)
-
-    # surrogate quantile kinds
-    t = surrogate_quantile(zsel, rule.tau, rule.beta, loss)
-    weights = loss.deriv(rule.beta * (zsel - t))
-    denom = float(weights.sum())
-    if denom <= 0.0:
-        raise ValueError(
-            "all surrogate derivatives vanished; the implicit threshold "
-            "gradient is undefined"
-        )
-    grad = (weights @ d.features[sel]) / denom
-    support = sel[weights > 0.0]
-    return ThresholdResult(t=float(t), grad_t=grad, support=support)
+        local = np.flatnonzero(zsel == t)
+        weights = np.zeros(local.size)
+    else:  # surrogate quantile kinds
+        t = surrogate_quantile(zsel, rule.tau, rule.beta, loss)
+        deriv = loss.deriv(rule.beta * (zsel - t))
+        denom = float(deriv.sum())
+        if denom <= 0.0:
+            raise ValueError(
+                "all surrogate derivatives vanished; the implicit threshold "
+                "gradient is undefined"
+            )
+        local = np.flatnonzero(deriv > 0.0)
+        weights = deriv[local] / denom
+    support = local if sel is None else sel[local]
+    return ThresholdResult(t=float(t), support=support, weights=weights, features=d.features)
 
 
 def _check_tau_pool(tau: float, pool_size: int, kind: str) -> None:

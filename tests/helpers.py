@@ -5,7 +5,15 @@ import math
 import numpy as np
 
 from topclf.data import Dataset
-from topclf.threshold import scores, threshold_scored
+from topclf.threshold import (
+    NEGATIVE_KINDS,
+    QUANTILE_KINDS,
+    TOP_K_KINDS,
+    exact_quantile,
+    scores,
+    surrogate_quantile,
+    threshold_scored,
+)
 
 
 def random_dataset(rng, n=50, m=5, pos_frac=0.5, scale=1.0):
@@ -105,3 +113,50 @@ def tied_integer_dataset(rng, n, tau):
     if not labels.any():
         labels[0] = True
     return Dataset(z[:, None], labels)
+
+
+def oracle_top_k_mean(values, k):
+    """Mean of the k largest entries by a full stable descending sort.
+
+    Ties go to the lowest index.  The support comes back in sorted order,
+    and the mean is taken over the entries in that order.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    support = np.argsort(-values, kind="stable")[:k]
+    return float(values[support].mean()), support
+
+
+def oracle_threshold_gradient(rule, z, d, loss):
+    """Threshold and its gradient from gathered feature rows.
+
+    Top-k rules average the k supporting rows, surrogate-quantile rules
+    take the l'-weighted mean of every pool row, exact quantiles give zero.
+    """
+    sel = d.neg_idx if rule.kind in NEGATIVE_KINDS else np.arange(d.n)
+    zsel, xsel = z[sel], d.features[sel]
+    if rule.kind in TOP_K_KINDS:
+        if rule.kind == "top_push":
+            k = 1
+        elif rule.kind == "top_push_k":
+            k = rule.k
+        else:
+            k = math.ceil(rule.tau * zsel.size)
+        t, local = oracle_top_k_mean(zsel, k)
+        return t, xsel[local].mean(axis=0)
+    if rule.kind in QUANTILE_KINDS:
+        return exact_quantile(zsel, rule.tau), np.zeros(d.m)
+    t = surrogate_quantile(zsel, rule.tau, rule.beta, loss)
+    weights = loss.deriv(rule.beta * (zsel - t))
+    return t, (weights @ xsel) / weights.sum()
+
+
+def oracle_gradient(spec, w, d):
+    """grad f(w) assembled from the positive and negative row blocks."""
+    z = d.features @ w
+    t, grad_t = oracle_threshold_gradient(spec.rule, z, d, spec.loss)
+    dup = spec.loss.deriv(t - z[d.pos_idx])
+    grad = (dup.sum() * grad_t - dup @ d.features[d.pos_idx]) / d.n_pos
+    if spec.include_fp:
+        dun = spec.loss.deriv(z[d.neg_idx] - t)
+        grad += (dun @ d.features[d.neg_idx] - dun.sum() * grad_t) / d.n_neg
+    return grad + spec.lam * w

@@ -277,6 +277,31 @@ class TestRunManifest:
         assert "toppush" in table and "patmat(tau=0.2)" in table
 
 
+    def test_rerun_differs_only_in_wall_times(self, tmp_path):
+        manifest = {
+            "datasets": [{"name": "synth", "format": "synth", "n": 120, "seed": 4}],
+            "methods": [{"method": "toppushk", "k": 2}, {"method": "grill", "tau": 0.2}],
+            "grid": {"lambdas": [0.0, 0.01], "ks": [2]},
+            "train": {"iterations": 20},
+            "split": {"seed": 6},
+            "select": {"criterion": "positives_at_top"},
+            "criteria_taus": [0.2],
+        }
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            run_manifest(manifest, out)
+        for name in ("rank_table.csv", "zero_audit.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+        records = []
+        for out in runs:
+            recs = json.loads((out / "run_records.json").read_text())
+            for rec in recs:
+                assert rec.pop("ms_per_iter") > 0.0
+            records.append(recs)
+        assert len(records[0]) == 3
+        assert records[0] == records[1]
+
+
 class TestMethodId:
     def test_labels(self):
         assert method_id(template("toppush")) == "toppush"

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import central_diff, is_stable, objective_pattern, random_dataset
+from helpers import (
+    central_diff,
+    is_stable,
+    objective_pattern,
+    oracle_gradient,
+    random_dataset,
+)
 from topclf.data import Dataset, synth_example
 from topclf.objective import ObjectiveSpec, evaluate, gradient, objective, surrogate_counts
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
@@ -247,3 +253,24 @@ class TestSurrogateDominance:
             fn_s, _, _, _ = surrogate_counts(w, t, d)
             fn_count = int(np.count_nonzero(scores(w, d)[d.pos_idx] < t))
             assert fn_s / d.n_pos >= fn_count / d.n_pos
+
+
+ALL_KINDS = CONVEX_KINDS + ["quantile", "quantile_np"]
+
+
+class TestGradientOracle:
+    """The single c @ X product against the gathered-row formula."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("loss", [HINGE, QUADRATIC_HINGE], ids=lambda l: l.kind)
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_matches_gathered_formula(self, kind, loss, lam):
+        rng = np.random.default_rng(1009)
+        spec = make_spec(kind, k=3, tau=0.3, beta=0.8, lam=lam, loss=loss)
+        assert spec.include_fp == (kind in ("quantile", "quantile_np"))
+        for _ in range(30):
+            d = random_dataset(rng, n=int(rng.integers(30, 90)), m=4, pos_frac=rng.uniform(0.25, 0.75))
+            w = rng.uniform(-2.0, 2.0, d.m)
+            _, grad, _ = evaluate(spec, w, d)
+            want = oracle_gradient(spec, w, d)
+            assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)

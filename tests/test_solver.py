@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import central_diff, random_dataset
-from topclf.data import Dataset, make_minibatches, synth_example
+from topclf.data import Dataset, make_minibatches, minibatch_epoch, synth_example
 from topclf.objective import ObjectiveSpec, gradient, objective
 from topclf.solver import (
     AdamParams,
@@ -187,3 +187,27 @@ class TestModelSerialization:
         assert clone.spec == model.spec
         assert clone.t_final == model.t_final
         assert clone.config == model.config
+
+
+class TestImbalancedMinibatches:
+    def test_rare_positives_train_with_every_batch_mixed(self):
+        rng = np.random.default_rng(48)
+        labels = np.zeros(20_000, bool)
+        labels[rng.choice(20_000, size=48, replace=False)] = True
+        d = Dataset(rng.standard_normal((20_000, 5)), labels)
+        cfg = TrainConfig(iterations=64, n_minibatch=32, seed=3)
+        model = train(ObjectiveSpec(rule=ThresholdRule("top_push")), d, cfg)
+        assert np.all(np.isfinite(model.history.objective))
+        for epoch in range(2):
+            batches = minibatch_epoch(d, 32, seed=3, epoch=epoch)
+            assert sorted(np.concatenate(batches).tolist()) == list(range(d.n))
+            assert {int(d.labels[b].sum()) for b in batches} == {1, 2}
+            assert max(b.size for b in batches) - min(b.size for b in batches) <= 1
+
+    def test_more_batches_than_positives_rejected(self):
+        labels = np.zeros(200, bool)
+        labels[:4] = True
+        d = Dataset(np.arange(400.0).reshape(200, 2), labels)
+        assert len(minibatch_epoch(d, 4, seed=0, epoch=0)) == 4
+        with pytest.raises(ValueError, match="one class"):
+            minibatch_epoch(d, 5, seed=0, epoch=0)

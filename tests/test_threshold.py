@@ -9,17 +9,20 @@ from helpers import (
     central_diff,
     grid_solve,
     is_stable,
+    oracle_top_k_mean,
     random_dataset,
 )
 from topclf.data import Dataset, synth_example
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
 from topclf.threshold import (
+    NEGATIVE_KINDS,
     ThresholdRule,
     exact_quantile,
     rule_from_token,
     scores,
     surrogate_quantile,
     threshold,
+    threshold_scored,
     top_k_mean,
 )
 
@@ -378,3 +381,58 @@ class TestThresholdGradient:
         d = random_dataset(rng, n=25, m=3)
         res = threshold(ThresholdRule("top_push_k", k=3), rng.uniform(-1, 1, 3), d)
         np.testing.assert_allclose(res.grad_t, d.features[res.support].mean(axis=0))
+
+
+def tied_scores_dataset(rng, n):
+    """One integer feature in [-3, 3], so scores at w = 1 tie heavily."""
+    labels = rng.random(n) < 0.5
+    labels[:3] = (True, False, False)
+    return Dataset(rng.integers(-3, 4, size=(n, 1)).astype(float), labels)
+
+
+class TestTopKMeanOracle:
+    """Linear-time selection against the full stable sort, bit for bit."""
+
+    @staticmethod
+    def tie_position(values, k):
+        """Where k ends relative to the tie block of the k-th largest value."""
+        top = np.sort(values)[::-1]
+        block = np.flatnonzero(top == top[k - 1])
+        if block.size > 1:
+            return "at" if k == block[-1] + 1 else "inside"
+        if k >= 3 and top[k - 2] == top[k - 3]:
+            return "past"
+        return "untied"
+
+    def test_matches_stable_sort_on_tied_integers(self):
+        rng = np.random.default_rng(2014)
+        seen = {"at": 0, "inside": 0, "past": 0, "untied": 0}
+        for _ in range(80):
+            n = int(rng.integers(1, 40))
+            values = rng.integers(-3, 4, size=n).astype(float)
+            # mix signed zeros into the ties
+            values = np.where(rng.random(n) < 0.5, -values, values)
+            for k in range(1, n + 1):
+                seen[self.tie_position(values, k)] += 1
+                mean, support = top_k_mean(values, k)
+                want_mean, want_support = oracle_top_k_mean(values, k)
+                assert np.float64(mean).tobytes() == np.float64(want_mean).tobytes()
+                assert support.dtype == want_support.dtype
+                assert np.array_equal(support, want_support)
+        assert min(seen.values()) >= 20
+
+    @pytest.mark.parametrize("kind", ["top_push", "top_push_k", "top_mean", "top_mean_np"])
+    def test_threshold_support_matches_stable_sort(self, kind):
+        rng = np.random.default_rng(17)
+        rule = make_rule(kind, k=3, tau=0.3)
+        for _ in range(40):
+            d = tied_scores_dataset(rng, n=int(rng.integers(12, 60)))
+            z = d.features[:, 0].copy()
+            res = threshold_scored(rule, z, d)
+            sel = d.neg_idx if kind in NEGATIVE_KINDS else np.arange(d.n)
+            k = {"top_push": 1, "top_push_k": 3}.get(kind, math.ceil(0.3 * sel.size))
+            want_t, local = oracle_top_k_mean(z[sel], k)
+            assert np.float64(res.t).tobytes() == np.float64(want_t).tobytes()
+            assert np.array_equal(res.support, sel[local])
+            assert np.array_equal(res.weights, np.full(k, 1.0 / k))
+
