@@ -2,118 +2,33 @@
 
 Eight training methods share one shape: minimize a convex surrogate of the
 false-negative count above a threshold that is itself a function of the
-sample scores, differentiating through the threshold.
+sample scores, differentiating through the threshold.  The package root
+exports what a library user needs to load data, train and evaluate; the
+submodules hold the rest.
 """
 
 __version__ = "0.1.0"
 
-from .data import (
-    Dataset,
-    MinibatchPlan,
-    SplitSpec,
-    drop_positives,
-    load_csv,
-    load_libsvm,
-    make_minibatches,
-    save_csv,
-    split,
-    synth_example,
-)
-from .surrogate import HINGE, QUADRATIC_HINGE, SurrogateLoss, make_loss
-from .threshold import (
-    CLI_TOKENS,
-    ThresholdResult,
-    ThresholdRule,
-    exact_quantile,
-    rule_from_token,
-    scores,
-    surrogate_quantile,
-    threshold,
-    top_k_mean,
-)
-from .objective import ObjectiveSpec, gradient, objective, surrogate_counts
-from .solver import (
-    AdamParams,
-    AdamState,
-    Model,
-    TrainConfig,
-    adam_step,
-    project_l2_ball,
-    train,
-)
-from .evaluation import (
-    Counts,
-    EvalReport,
-    build_report,
-    counts,
-    criterion,
-    pr_curve,
-    precision_recall,
-    ptau_curve,
-)
-from .experiment import (
-    Grid,
-    RunRecord,
-    SelectCriterion,
-    grid_search,
-    rank_table,
-    reproduce_worked_example,
-    run_manifest,
-    timing_probe,
-    zero_audit,
-)
+from .data import Dataset, SplitSpec, load_csv, split, synth_example
+from .surrogate import make_loss
+from .threshold import ThresholdRule, rule_from_token
+from .objective import ObjectiveSpec
+from .solver import TrainConfig, train
+from .evaluation import build_report, counts
 
 __all__ = [
     "__version__",
     "Dataset",
     "SplitSpec",
-    "MinibatchPlan",
     "load_csv",
-    "save_csv",
-    "load_libsvm",
     "split",
-    "make_minibatches",
     "synth_example",
-    "drop_positives",
-    "SurrogateLoss",
-    "HINGE",
-    "QUADRATIC_HINGE",
     "make_loss",
     "ThresholdRule",
-    "ThresholdResult",
-    "CLI_TOKENS",
     "rule_from_token",
-    "scores",
-    "top_k_mean",
-    "exact_quantile",
-    "surrogate_quantile",
-    "threshold",
     "ObjectiveSpec",
-    "surrogate_counts",
-    "objective",
-    "gradient",
-    "AdamParams",
-    "AdamState",
     "TrainConfig",
-    "Model",
-    "adam_step",
-    "project_l2_ball",
     "train",
-    "Counts",
-    "EvalReport",
-    "counts",
-    "precision_recall",
-    "ptau_curve",
-    "pr_curve",
-    "criterion",
     "build_report",
-    "Grid",
-    "SelectCriterion",
-    "RunRecord",
-    "grid_search",
-    "zero_audit",
-    "rank_table",
-    "timing_probe",
-    "reproduce_worked_example",
-    "run_manifest",
+    "counts",
 ]

@@ -17,6 +17,7 @@ from .data import SplitSpec, load_csv, load_libsvm, save_csv, split, synth_examp
 from .evaluation import build_report, write_curve_csv
 from .experiment import (
     Grid,
+    ManifestError,
     SelectCriterion,
     grid_search,
     reproduce_worked_example,
@@ -26,18 +27,7 @@ from .experiment import (
 from .objective import ObjectiveSpec
 from .solver import AdamParams, Model, TrainConfig, train
 from .surrogate import make_loss
-from .threshold import CLI_TOKENS, rule_from_token
-
-_METHOD_NEEDS = {
-    "toppush": (),
-    "toppushk": ("k",),
-    "grill": ("tau",),
-    "grill-np": ("tau",),
-    "patmat": ("tau", "beta"),
-    "patmat-np": ("tau", "beta"),
-    "topmean": ("tau",),
-    "topmean-np": ("tau",),
-}
+from .threshold import CLI_TOKENS, method_params, rule_from_token
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -50,9 +40,6 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 def _add_method_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--method", required=required, choices=sorted(CLI_TOKENS))
     p.add_argument("--tau", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--loss", choices=("hinge", "quadratic_hinge"), default="hinge")
 
 
@@ -77,11 +64,8 @@ def _load_dataset(args):
 
 
 def _build_spec(args, parser: argparse.ArgumentParser) -> ObjectiveSpec:
-    missing = [
-        f"--{name}"
-        for name in _METHOD_NEEDS[args.method]
-        if getattr(args, name) is None
-    ]
+    params = method_params(args.method)
+    missing = [f"--{name}" for name in params if getattr(args, name) is None]
     if missing:
         parser.error(f"method {args.method} requires {', '.join(missing)}")
     rule = rule_from_token(args.method, k=args.k, tau=args.tau, beta=args.beta)
@@ -178,29 +162,25 @@ def cmd_reproduce(args, parser) -> int:
 def cmd_grid(args, parser) -> int:
     if args.manifest:
         manifest = json.loads(Path(args.manifest).read_text())
-        run_manifest(manifest, args.out, jobs=args.jobs)
+        try:
+            run_manifest(manifest, args.out, jobs=args.jobs)
+        except ManifestError as exc:
+            parser.error(str(exc))
         print(f"wrote experiment outputs to {args.out}")
         return 0
     if not args.method or not args.data:
         parser.error("grid needs either --manifest or both --method and --data")
-    if "tau" in _METHOD_NEEDS[args.method] and args.tau is None:
+    # k, beta and lambda come from the grid; tau is fixed for the whole grid
+    if "tau" in method_params(args.method) and args.tau is None:
         parser.error(f"method {args.method} requires --tau")
-    # k and beta come from the grid; the template only pins kind, tau, loss
-    rule = rule_from_token(
-        args.method, k=args.k or 1, tau=args.tau, beta=args.beta or 1.0
-    )
-    spec = ObjectiveSpec(rule=rule, loss=make_loss(args.loss), lam=args.lam)
     dataset = _load_dataset(args)
     splits = split(dataset, SplitSpec(seed=args.seed))
-    defaults = Grid()
-    grid = Grid(
-        betas=tuple(args.betas) if args.betas else defaults.betas,
-        lambdas=tuple(args.lambdas) if args.lambdas else defaults.lambdas,
-        ks=tuple(args.ks) if args.ks else defaults.ks,
-    )
+    swept = {name: getattr(args, name) for name in ("betas", "lambdas", "ks")}
+    grid = Grid(**{name: tuple(values) for name, values in swept.items() if values})
     select = SelectCriterion(kind=args.criterion, tau=args.criterion_tau)
     best, records = grid_search(
-        spec, grid, splits, _train_config(args), select, jobs=args.jobs
+        args.method, grid, splits, _train_config(args), select,
+        tau=args.tau, loss=make_loss(args.loss), jobs=args.jobs,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,6 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a linear model")
     _add_method_args(p)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--k", type=int)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     _add_data_args(p)
     _add_train_args(p)
     p.add_argument("--out", required=True, help="output directory")
@@ -247,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional output CSV path")
 
-    p = sub.add_parser("grid", help="hyperparameter grid search")
+    # no abbreviations: --k, --beta and --lambda would silently mean --ks,
+    # --betas and --lambdas
+    p = sub.add_parser("grid", help="hyperparameter grid search", allow_abbrev=False)
     p.add_argument("--manifest", help="experiment manifest JSON")
     _add_method_args(p, required=False)
     p.add_argument("--data", help="dataset file (flag mode)")

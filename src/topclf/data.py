@@ -13,15 +13,12 @@ import numpy as np
 __all__ = [
     "Dataset",
     "SplitSpec",
-    "MinibatchPlan",
     "load_csv",
     "save_csv",
     "load_libsvm",
     "split",
-    "make_minibatches",
     "minibatch_epoch",
     "synth_example",
-    "drop_positives",
 ]
 
 
@@ -112,19 +109,6 @@ class SplitSpec:
     @property
     def fractions(self) -> tuple[float, float, float]:
         return (self.train_frac, self.valid_frac, self.test_frac)
-
-
-@dataclass(frozen=True)
-class MinibatchPlan:
-    """Partition of sample indices into minibatches for one epoch.
-
-    ``schedule`` holds the epoch-0 partition; later epochs are regenerated
-    with :func:`minibatch_epoch` from the same seed.
-    """
-
-    n_minibatch: int
-    seed: int
-    schedule: tuple[np.ndarray, ...]
 
 
 def _largest_remainder(total: int, fractions) -> list[int]:
@@ -325,13 +309,6 @@ def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list
     return [order[i::n_minibatch] for i in range(n_minibatch)]
 
 
-def make_minibatches(d: Dataset, n_minibatch: int, seed: int) -> MinibatchPlan:
-    """Build the epoch-0 minibatch plan, validating the class invariant."""
-    d.require_both_classes()
-    chunks = minibatch_epoch(d, n_minibatch, seed, epoch=0)
-    return MinibatchPlan(n_minibatch=n_minibatch, seed=seed, schedule=tuple(chunks))
-
-
 def synth_example(n: int, seed: int = 0) -> Dataset:
     """Two-dimensional synthetic dataset with a single negative outlier.
 
@@ -348,24 +325,3 @@ def synth_example(n: int, seed: int = 0) -> Dataset:
     features = np.vstack([pos, neg, outlier])
     labels = np.concatenate([np.ones(n, bool), np.zeros(n + 1, bool)])
     return Dataset(features, labels)
-
-
-def drop_positives(d: Dataset, drop_frac: float, seed: int = 0) -> Dataset:
-    """Copy of ``d`` with floor(drop_frac * n_pos) positives removed uniformly.
-
-    Intended for the train/validation side only, simulating labels that the
-    annotators missed; the caller leaves the test split untouched.
-    """
-    if not 0.0 <= drop_frac <= 1.0:
-        raise ValueError(f"drop_frac must lie in [0,1], got {drop_frac}")
-    if d.n_pos == 0:
-        raise ValueError("dataset has no positive samples")
-    n_drop = math.floor(drop_frac * d.n_pos)
-    if n_drop == 0:
-        return d.subset(np.arange(d.n))
-    if n_drop >= d.n_pos:
-        raise ValueError("dropping would leave zero positive samples")
-    rng = np.random.default_rng(seed)
-    dropped = rng.choice(d.pos_idx, size=n_drop, replace=False)
-    keep = np.setdiff1d(np.arange(d.n), dropped)
-    return d.subset(keep)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ __all__ = [
     "ptau_curve",
     "pr_curve",
     "criterion",
-    "CRITERION_KINDS",
+    "criteria_table",
     "build_report",
     "write_curve_csv",
 ]
@@ -54,21 +54,8 @@ class EvalReport:
     criteria: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "counts": {
-                "tp": self.counts.tp,
-                "fn": self.counts.fn,
-                "tn": self.counts.tn,
-                "fp": self.counts.fp,
-                "q": self.counts.q,
-            },
-            "threshold": self.threshold,
-            "precision": self.precision,
-            "recall": self.recall,
-            "pr_curve": [list(p) for p in self.pr_curve],
-            "ptau_curve": [list(p) for p in self.ptau_curve],
-            "criteria": dict(self.criteria),
-        }
+        # shallow on purpose: a deep asdict copies every curve point
+        return {**vars(self), "counts": asdict(self.counts)}
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
@@ -158,18 +145,24 @@ def criterion(
     return int(np.count_nonzero(z[d.pos_idx] >= t)) / d.n_pos
 
 
-def build_report(
-    w: np.ndarray, t: float, d: Dataset, taus
-) -> EvalReport:
-    """Full evaluation of weights ``w`` at decision threshold ``t``."""
-    c = counts(w, t, d)
-    precision, recall = precision_recall(c)
+def criteria_table(w: np.ndarray, d: Dataset, taus) -> dict[str, float]:
+    """Every criterion of ``w`` on ``d``: top, then both quantiles per tau."""
     crits = {"positives_at_top": criterion("positives_at_top", w, d)}
     for tau in taus:
         crits[f"positives_at_quantile@{tau:g}"] = criterion(
             "positives_at_quantile", w, d, tau
         )
         crits[f"positives_at_np@{tau:g}"] = criterion("positives_at_np", w, d, tau)
+    return crits
+
+
+def build_report(
+    w: np.ndarray, t: float, d: Dataset, taus
+) -> EvalReport:
+    """Full evaluation of weights ``w`` at decision threshold ``t``."""
+    c = counts(w, t, d)
+    precision, recall = precision_recall(c)
+    crits = criteria_table(w, d, taus)
     return EvalReport(
         counts=c,
         threshold=t,

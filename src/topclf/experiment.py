@@ -27,16 +27,17 @@ from scipy.stats import rankdata
 
 from . import data as data_mod
 from .data import Dataset, SplitSpec, split, synth_example
-from .evaluation import criterion
+from .evaluation import criteria_table
 from .objective import ObjectiveSpec, objective
-from .solver import Model, TrainConfig, train
-from .surrogate import make_loss
-from .threshold import CLI_TOKENS, SURROGATE_KINDS, rule_from_token, threshold
+from .solver import AdamParams, Model, TrainConfig, train
+from .surrogate import HINGE, SurrogateLoss, make_loss
+from .threshold import RULES, method_params, rule_from_token, threshold
 
 __all__ = [
     "Grid",
     "SelectCriterion",
     "RunRecord",
+    "ManifestError",
     "FIXED_LAMBDA",
     "grid_points",
     "method_id",
@@ -50,15 +51,12 @@ __all__ = [
 
 FIXED_LAMBDA = 1e-3
 
-_TOKEN_OF_KIND = {kind: token for token, kind in CLI_TOKENS.items()}
-
 
 @dataclass(frozen=True)
 class Grid:
     betas: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
     lambdas: tuple[float, ...] = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
     ks: tuple[int, ...] = (1, 3, 5, 10, 15, 20)
-    taus: tuple[float, ...] = (0.01, 0.03)
 
 
 @dataclass(frozen=True)
@@ -80,62 +78,30 @@ class RunRecord:
     model: Model | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "method": self.method,
-            "dataset": self.dataset,
-            "params": self.params,
-            "seed": self.seed,
-            "criteria": self.criteria,
-            "f_final": self.f_final,
-            "f_zero": self.f_zero,
-            "ms_per_iter": self.ms_per_iter,
-        }
-        if self.model is not None:
-            doc["w"] = self.model.w.tolist()
-            doc["t_final"] = self.model.t_final
+        doc = dict(vars(self))
+        model = doc.pop("model")
+        if model is not None:
+            doc["w"] = model.w.tolist()
+            doc["t_final"] = model.t_final
         return doc
 
 
 def method_id(spec: ObjectiveSpec) -> str:
     """Readable method-instance label, one per (kind, tau) pair."""
-    token = _TOKEN_OF_KIND[spec.rule.kind]
+    token, _, _ = RULES[spec.rule.kind]
     if spec.rule.tau is not None:
         return f"{token}(tau={spec.rule.tau:g})"
     return token
 
 
-def grid_points(template: ObjectiveSpec, grid: Grid) -> list[dict]:
-    """Hyperparameter dictionaries swept for the template's method."""
-    kind = template.rule.kind
-    if kind == "top_push_k":
+def grid_points(method: str, grid: Grid) -> list[dict]:
+    """Hyperparameter dictionaries swept for ``method``."""
+    params = method_params(method)
+    if "k" in params:
         return [{"k": k, "lambda": FIXED_LAMBDA} for k in grid.ks]
-    if kind in SURROGATE_KINDS:
+    if "beta" in params:
         return [{"beta": beta, "lambda": FIXED_LAMBDA} for beta in grid.betas]
     return [{"lambda": lam} for lam in grid.lambdas]
-
-
-def _spec_at_point(template: ObjectiveSpec, point: dict) -> ObjectiveSpec:
-    rule = template.rule
-    if "k" in point:
-        rule = dataclasses.replace(rule, k=point["k"])
-    if "beta" in point:
-        rule = dataclasses.replace(rule, beta=point["beta"])
-    return ObjectiveSpec(rule=rule, loss=template.loss, lam=point.get("lambda", template.lam))
-
-
-def _split_criteria(w, splits: dict[str, Dataset], taus) -> dict:
-    out: dict[str, dict[str, float]] = {}
-    for name, part in splits.items():
-        values = {"positives_at_top": criterion("positives_at_top", w, part)}
-        for tau in taus:
-            values[f"positives_at_quantile@{tau:g}"] = criterion(
-                "positives_at_quantile", w, part, tau
-            )
-            values[f"positives_at_np@{tau:g}"] = criterion(
-                "positives_at_np", w, part, tau
-            )
-        out[name] = values
-    return out
 
 
 def _criterion_key(select: SelectCriterion) -> str:
@@ -147,16 +113,18 @@ def _criterion_key(select: SelectCriterion) -> str:
 
 
 def _run_point(args) -> RunRecord:
-    template, point, splits, cfg, taus, dataset_name = args
-    spec = _spec_at_point(template, point)
+    method, tau, loss, point, splits, cfg, taus, dataset_name = args
+    swept = {name: value for name, value in point.items() if name != "lambda"}
+    rule = rule_from_token(method, tau=tau, **swept)
+    spec = ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"])
     model = train(spec, splits["train"], cfg)
     zeros = np.zeros(splits["train"].m)
     return RunRecord(
-        method=method_id(template),
+        method=method_id(spec),
         dataset=dataset_name,
         params=point,
         seed=cfg.seed,
-        criteria=_split_criteria(model.w, splits, taus),
+        criteria={name: criteria_table(model.w, d, taus) for name, d in splits.items()},
         f_final=objective(spec, model.w, splits["train"]),
         f_zero=objective(spec, zeros, splits["train"]),
         ms_per_iter=float(np.median(model.history.iter_ms)),
@@ -165,30 +133,34 @@ def _run_point(args) -> RunRecord:
 
 
 def grid_search(
-    template: ObjectiveSpec,
+    method: str,
     grid: Grid,
     splits: tuple[Dataset, Dataset, Dataset],
     cfg: TrainConfig,
     select: SelectCriterion,
+    tau: float | None = None,
+    loss: SurrogateLoss = HINGE,
     dataset_name: str = "data",
     criteria_taus=None,
     jobs: int = 1,
 ) -> tuple[RunRecord, list[RunRecord]]:
-    """Train one model per grid point and pick the validation winner.
+    """Train one model per grid point of ``method`` and pick the validation winner.
 
+    Each grid point supplies the swept hyperparameters of the rule (k or
+    beta) and lambda; ``tau`` and ``loss`` are fixed for the whole grid.
     Returns (best record, all records).  The winner maximizes the selection
     criterion on the validation split; ties go to the earlier grid point, so
     the result is a pure function of the inputs.
     """
     d_train, d_valid, d_test = splits
     named = {"train": d_train, "valid": d_valid, "test": d_test}
-    points = grid_points(template, grid)
+    points = grid_points(method, grid)
     if not points:
         raise ValueError("empty hyperparameter grid")
     taus = list(criteria_taus) if criteria_taus is not None else []
     if select.tau is not None and select.tau not in taus:
         taus.append(select.tau)
-    args = [(template, point, named, cfg, taus, dataset_name) for point in points]
+    args = [(method, tau, loss, point, named, cfg, taus, dataset_name) for point in points]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_point, args))
@@ -341,41 +313,83 @@ def reproduce_worked_example(
     return rows
 
 
+_MANIFEST_KEYS = (
+    "datasets", "methods", "grid", "train", "split", "select", "criteria_taus", "loss"
+)
+# dataset format: the keys an entry of that format takes besides name and format
+_DATASET_KEYS = {
+    "synth": ("n", "seed"),
+    "csv": ("path", "label", "pos"),
+    "libsvm": ("path",),
+}
+
+
+class ManifestError(ValueError):
+    """A manifest key the runner does not read, or a required one left out."""
+
+
+def _check_keys(doc: dict, allowed, where: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ManifestError(
+            f"unknown manifest key {unknown[0]!r} in {where}; "
+            f"expected one of {sorted(allowed)}"
+        )
+
+
+def _check_manifest(manifest: dict) -> None:
+    _check_keys(manifest, _MANIFEST_KEYS, "the manifest")
+    train = manifest.get("train", {})
+    # sections that load with cls(**doc) take exactly the dataclass fields
+    for where, doc, cls in (
+        ("grid", manifest.get("grid", {}), Grid),
+        ("train", train, TrainConfig),
+        ("train.adam", train.get("adam", {}), AdamParams),
+        ("split", manifest.get("split", {}), SplitSpec),
+    ):
+        _check_keys(doc, [f.name for f in dataclasses.fields(cls)], where)
+    _check_keys(manifest["select"], ("criterion", "tau"), "select")
+    for i, entry in enumerate(manifest["datasets"]):
+        fmt = entry.get("format", "csv")
+        if fmt not in _DATASET_KEYS:
+            raise ManifestError(f"unknown dataset format {fmt!r} in datasets[{i}]")
+        _check_keys(entry, ("name", "format", *_DATASET_KEYS[fmt]), f"datasets[{i}]")
+    for i, entry in enumerate(manifest["methods"]):
+        # k and beta are swept by the grid; tau fixes the method instance
+        takes_tau = "tau" in method_params(entry["method"])
+        _check_keys(entry, ("method", "tau") if takes_tau else ("method",), f"methods[{i}]")
+        if takes_tau and "tau" not in entry:
+            raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
+
+
 def _load_manifest_dataset(entry: dict) -> Dataset:
     kind = entry.get("format", "csv")
     if kind == "synth":
         return synth_example(entry["n"], entry.get("seed", 0))
     if kind == "csv":
         return data_mod.load_csv(entry["path"], entry["label"], entry["pos"])
-    if kind == "libsvm":
-        return data_mod.load_libsvm(entry["path"])
-    raise ValueError(f"unknown dataset format {kind!r}")
+    return data_mod.load_libsvm(entry["path"])
 
 
 def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     """Execute a JSON experiment manifest and write its artifact files.
 
     The manifest lists datasets, method instances, grid overrides, the train
-    configuration, split fractions and the selection criterion.  Outputs in
-    ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv and
-    timing.csv.
+    configuration, split fractions and the selection criterion.  A key the
+    runner does not read raises :class:`ManifestError` before any work
+    starts.  Outputs in ``out_dir``: run_records.json, rank_table.csv,
+    zero_audit.csv and timing.csv.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_manifest(manifest)
     grid = Grid(**manifest.get("grid", {}))
-    cfg = TrainConfig.from_dict(manifest.get("train", {}))
-    split_doc = manifest.get("split", {})
-    spec_split = SplitSpec(
-        train_frac=split_doc.get("train_frac", 0.5),
-        valid_frac=split_doc.get("valid_frac", 0.25),
-        test_frac=split_doc.get("test_frac", 0.25),
-        seed=split_doc.get("seed", 0),
-        stratified=split_doc.get("stratified", True),
-    )
+    cfg = TrainConfig(**manifest.get("train", {}))
+    spec_split = SplitSpec(**manifest.get("split", {}))
     select_doc = manifest["select"]
     select = SelectCriterion(kind=select_doc["criterion"], tau=select_doc.get("tau"))
     loss = make_loss(manifest.get("loss", "hinge"))
-    criteria_taus = manifest.get("criteria_taus", list(grid.taus))
+    criteria_taus = manifest.get("criteria_taus", [0.01, 0.03])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     winners: list[RunRecord] = []
     all_records: list[RunRecord] = []
@@ -384,21 +398,14 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
         name = ds_entry["name"]
         splits = split(_load_manifest_dataset(ds_entry), spec_split)
         for m_entry in manifest["methods"]:
-            template = ObjectiveSpec(
-                rule=rule_from_token(
-                    m_entry["method"],
-                    k=m_entry.get("k", 1),
-                    tau=m_entry.get("tau"),
-                    beta=m_entry.get("beta", 1.0),
-                ),
-                loss=loss,
-            )
             best, records = grid_search(
-                template,
+                m_entry["method"],
                 grid,
                 splits,
                 cfg,
                 select,
+                tau=m_entry.get("tau"),
+                loss=loss,
                 dataset_name=name,
                 criteria_taus=criteria_taus,
                 jobs=jobs,

@@ -36,46 +36,25 @@ from .threshold import (
     threshold_scored,
 )
 
-__all__ = ["ObjectiveSpec", "surrogate_counts", "objective", "gradient", "evaluate"]
+__all__ = ["ObjectiveSpec", "objective", "gradient", "evaluate"]
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Threshold rule, surrogate loss and regularization weight.
-
-    ``include_fp`` is forced to match the rule: exactly the exact-quantile
-    rules carry the false-positive term.
-    """
+    """Threshold rule, surrogate loss and regularization weight."""
 
     rule: ThresholdRule
     loss: SurrogateLoss = HINGE
     lam: float = 0.0
-    include_fp: bool | None = None
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
-        expected = self.rule.kind in QUANTILE_KINDS
-        if self.include_fp is None:
-            object.__setattr__(self, "include_fp", expected)
-        elif self.include_fp != expected:
-            raise ValueError(
-                f"include_fp={self.include_fp} contradicts rule kind "
-                f"{self.rule.kind!r} (must be {expected})"
-            )
 
-
-def surrogate_counts(
-    w: np.ndarray, t: float, d: Dataset, loss: SurrogateLoss = HINGE
-) -> tuple[float, float, float, float]:
-    """Unnormalized surrogate confusion sums (fn_s, fp_s, tp_s, tn_s)."""
-    z = scores(w, d)
-    zp, zn = z[d.pos_idx], z[d.neg_idx]
-    fn_s = float(loss.value(t - zp).sum())
-    fp_s = float(loss.value(zn - t).sum())
-    tp_s = float(loss.value(zp - t).sum())
-    tn_s = float(loss.value(t - zn).sum())
-    return fn_s, fp_s, tp_s, tn_s
+    @property
+    def include_fp(self) -> bool:
+        """Exactly the exact-quantile rules carry the false-positive term."""
+        return self.rule.kind in QUANTILE_KINDS
 
 
 def evaluate(

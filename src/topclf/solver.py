@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,9 @@ class TrainConfig:
 
     ``project_unit_ball=None`` means automatic: projection is applied exactly
     for the exact-quantile rules, where it is part of the original method;
-    for the convex rules it would destroy convexity.
+    for the convex rules it would destroy convexity.  ``adam`` also accepts
+    the dict that ``dataclasses.asdict`` writes, so ``TrainConfig(**doc)``
+    reads the JSON form back.
     """
 
     iterations: int = 1000
@@ -70,6 +72,8 @@ class TrainConfig:
     init: str = "zeros"
 
     def __post_init__(self):
+        if isinstance(self.adam, dict):
+            object.__setattr__(self, "adam", AdamParams(**self.adam))
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if self.n_minibatch < 1:
@@ -81,33 +85,6 @@ class TrainConfig:
         if self.project_unit_ball is None:
             return rule.kind in QUANTILE_KINDS
         return self.project_unit_ball
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "adam": {
-                "step_size": self.adam.step_size,
-                "beta1": self.adam.beta1,
-                "beta2": self.adam.beta2,
-                "epsilon": self.adam.epsilon,
-            },
-            "n_minibatch": self.n_minibatch,
-            "seed": self.seed,
-            "project_unit_ball": self.project_unit_ball,
-            "init": self.init,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        adam = AdamParams(**doc.get("adam", {}))
-        return cls(
-            iterations=doc.get("iterations", 1000),
-            adam=adam,
-            n_minibatch=doc.get("n_minibatch", 1),
-            seed=doc.get("seed", 0),
-            project_unit_ball=doc.get("project_unit_ball"),
-            init=doc.get("init", "zeros"),
-        )
 
 
 @dataclass
@@ -130,41 +107,30 @@ class Model:
     history: TrainHistory
 
     def to_dict(self) -> dict:
-        rule = self.spec.rule
         return {
             "w": self.w.tolist(),
             "t_final": self.t_final,
             "spec": {
-                "rule": {
-                    "kind": rule.kind,
-                    "k": rule.k,
-                    "tau": rule.tau,
-                    "beta": rule.beta,
-                },
+                "rule": asdict(self.spec.rule),
                 "loss": self.spec.loss.kind,
                 "lambda": self.spec.lam,
             },
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Model":
-        rule_doc = doc["spec"]["rule"]
+        spec_doc = doc["spec"]
         spec = ObjectiveSpec(
-            rule=ThresholdRule(
-                kind=rule_doc["kind"],
-                k=rule_doc.get("k"),
-                tau=rule_doc.get("tau"),
-                beta=rule_doc.get("beta"),
-            ),
-            loss=make_loss(doc["spec"].get("loss", "hinge")),
-            lam=doc["spec"].get("lambda", 0.0),
+            rule=ThresholdRule(**spec_doc["rule"]),
+            loss=make_loss(spec_doc.get("loss", "hinge")),
+            lam=spec_doc.get("lambda", 0.0),
         )
         empty = TrainHistory(np.array([]), np.array([]), np.array([]))
         return cls(
             w=np.asarray(doc["w"], dtype=np.float64),
             spec=spec,
-            config=TrainConfig.from_dict(doc.get("config", {})),
+            config=TrainConfig(**doc.get("config", {})),
             t_final=doc["t_final"],
             history=empty,
         )

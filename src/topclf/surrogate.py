@@ -38,10 +38,6 @@ class SurrogateLoss:
             return (z >= -1.0).astype(np.float64)
         return 2.0 * np.maximum(0.0, 1.0 + z)
 
-    @property
-    def deriv_at_zero(self) -> float:
-        return 1.0 if self.kind == "hinge" else 2.0
-
 
 def _require_finite(z):
     z = np.asarray(z, dtype=np.float64)

@@ -29,7 +29,7 @@ folds these coefficients into a single product with the feature matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +39,8 @@ from .surrogate import SurrogateLoss, HINGE
 __all__ = [
     "ThresholdRule",
     "ThresholdResult",
-    "RULE_KINDS",
-    "TOP_K_KINDS",
-    "QUANTILE_KINDS",
-    "SURROGATE_KINDS",
-    "NEGATIVE_KINDS",
     "CLI_TOKENS",
+    "method_params",
     "rule_from_token",
     "scores",
     "top_k_mean",
@@ -54,30 +50,28 @@ __all__ = [
     "threshold_scored",
 ]
 
+# kind: (CLI token, parameters the rule takes, pool is the negatives only)
+RULES = {
+    "top_push": ("toppush", (), True),
+    "top_push_k": ("toppushk", ("k",), True),
+    "quantile": ("grill", ("tau",), False),
+    "quantile_np": ("grill-np", ("tau",), True),
+    "surrogate_quantile": ("patmat", ("tau", "beta"), False),
+    "surrogate_quantile_np": ("patmat-np", ("tau", "beta"), True),
+    "top_mean": ("topmean", ("tau",), False),
+    "top_mean_np": ("topmean-np", ("tau",), True),
+}
+CLI_TOKENS = {token: kind for kind, (token, _, _) in RULES.items()}
+NEGATIVE_KINDS = frozenset(kind for kind, (_, _, neg) in RULES.items() if neg)
 TOP_K_KINDS = frozenset({"top_push", "top_push_k", "top_mean", "top_mean_np"})
 QUANTILE_KINDS = frozenset({"quantile", "quantile_np"})
-SURROGATE_KINDS = frozenset({"surrogate_quantile", "surrogate_quantile_np"})
-RULE_KINDS = TOP_K_KINDS | QUANTILE_KINDS | SURROGATE_KINDS
 
-# rules whose threshold is computed from negative samples only
-NEGATIVE_KINDS = frozenset(
-    {"top_push", "top_push_k", "quantile_np", "surrogate_quantile_np", "top_mean_np"}
-)
-
-# command-line / config tokens
-CLI_TOKENS = {
-    "toppush": "top_push",
-    "toppushk": "top_push_k",
-    "grill": "quantile",
-    "grill-np": "quantile_np",
-    "patmat": "surrogate_quantile",
-    "patmat-np": "surrogate_quantile_np",
-    "topmean": "top_mean",
-    "topmean-np": "top_mean_np",
+# parameter: (valid value, what the error asks for)
+_PARAM_CHECKS = {
+    "k": (lambda v: v >= 1, "a positive integer k"),
+    "tau": (lambda v: 0.0 < v < 1.0, "tau in (0, 1)"),
+    "beta": (lambda v: v > 0.0, "beta > 0"),
 }
-
-_NEEDS_TAU = frozenset(RULE_KINDS - {"top_push", "top_push_k"})
-_NEEDS_BETA = SURROGATE_KINDS
 
 
 @dataclass(frozen=True)
@@ -90,27 +84,15 @@ class ThresholdRule:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in RULE_KINDS:
+        if self.kind not in RULES:
             raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.kind == "top_push_k":
-            if self.k is None or self.k < 1:
-                raise ValueError("top_push_k requires a positive integer k")
-        elif self.kind == "top_push":
-            # top_push is top_push_k with k = 1
-            if self.k not in (None, 1):
-                raise ValueError("top_push fixes k = 1")
-        elif self.k is not None:
-            raise ValueError(f"{self.kind} takes no k parameter")
-        if self.kind in _NEEDS_TAU:
-            if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ValueError(f"{self.kind} requires tau in (0, 1)")
-        elif self.tau is not None:
-            raise ValueError(f"{self.kind} takes no tau parameter")
-        if self.kind in _NEEDS_BETA:
-            if self.beta is None or self.beta <= 0.0:
-                raise ValueError(f"{self.kind} requires beta > 0")
-        elif self.beta is not None:
-            raise ValueError(f"{self.kind} takes no beta parameter")
+        _, takes, _ = RULES[self.kind]
+        for name, (valid, wanted) in _PARAM_CHECKS.items():
+            value = getattr(self, name)
+            if name in takes and (value is None or not valid(value)):
+                raise ValueError(f"{self.kind} requires {wanted}")
+            if name not in takes and value is not None:
+                raise ValueError(f"{self.kind} takes no {name} parameter")
 
 
 @dataclass(frozen=True)
@@ -120,18 +102,21 @@ class ThresholdResult:
     ``support`` holds indices into the dataset the threshold was computed on
     (batch-relative when evaluated on a minibatch); ``weights[j]`` is the
     coefficient of row ``support[j]`` in the threshold gradient.
-    ``features`` is that dataset's feature matrix, kept by reference.
     """
 
     t: float
     support: np.ndarray
     weights: np.ndarray
-    features: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def grad_t(self) -> np.ndarray:
-        """Gradient of t in w: sum_j weights[j] * features[support[j]]."""
-        return self.weights @ self.features[self.support]
+
+def method_params(token: str) -> tuple[str, ...]:
+    """Parameters taken by the rule behind CLI ``token``."""
+    if token not in CLI_TOKENS:
+        raise ValueError(
+            f"unknown method {token!r}; choose from {sorted(CLI_TOKENS)}"
+        )
+    _, params, _ = RULES[CLI_TOKENS[token]]
+    return params
 
 
 def rule_from_token(
@@ -141,17 +126,9 @@ def rule_from_token(
     beta: float | None = None,
 ) -> ThresholdRule:
     """Build a rule from its CLI token, keeping only the parameters it uses."""
-    if token not in CLI_TOKENS:
-        raise ValueError(
-            f"unknown method {token!r}; choose from {sorted(CLI_TOKENS)}"
-        )
-    kind = CLI_TOKENS[token]
-    return ThresholdRule(
-        kind=kind,
-        k=k if kind == "top_push_k" else None,
-        tau=tau if kind in _NEEDS_TAU else None,
-        beta=beta if kind in _NEEDS_BETA else None,
-    )
+    given = {"k": k, "tau": tau, "beta": beta}
+    params = {name: given[name] for name in method_params(token)}
+    return ThresholdRule(kind=CLI_TOKENS[token], **params)
 
 
 def scores(w: np.ndarray, d: Dataset) -> np.ndarray:
@@ -337,7 +314,7 @@ def threshold_scored(
         local = np.flatnonzero(deriv > 0.0)
         weights = deriv[local] / denom
     support = local if sel is None else sel[local]
-    return ThresholdResult(t=float(t), support=support, weights=weights, features=d.features)
+    return ThresholdResult(t=float(t), support=support, weights=weights)
 
 
 def _check_tau_pool(tau: float, pool_size: int, kind: str) -> None:

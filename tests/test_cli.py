@@ -159,6 +159,27 @@ class TestGrid:
         assert run("grid", "--manifest", mpath, "--out", out) == 0
         assert (out / "rank_table.csv").exists()
 
+    def test_unknown_manifest_key_is_usage_error(self, tmp_path, capsys):
+        manifest = {
+            "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
+            "methods": [{"method": "toppush"}],
+            "train": {"iteratons": 50},
+            "select": {"criterion": "positives_at_top"},
+        }
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "exp")
+        assert exc.value.code == 2
+        assert "'iteratons'" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("flag", ["--k", "--beta", "--lambda"])
+    def test_swept_hyperparameters_are_not_flags(self, data_csv, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--method", "toppushk", "--data", data_csv, flag, 1, "--out", tmp_path)
+        assert exc.value.code == 2
+
     def test_needs_method_or_manifest(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("grid", "--out", tmp_path)

@@ -4,10 +4,8 @@ import pytest
 from topclf.data import (
     Dataset,
     SplitSpec,
-    drop_positives,
     load_csv,
     load_libsvm,
-    make_minibatches,
     minibatch_epoch,
     save_csv,
     split,
@@ -181,21 +179,24 @@ class TestMinibatches:
         return Dataset(np.arange(2.0 * n).reshape(n, 2), labels)
 
     def test_two_chunks_of_five(self):
-        plan = make_minibatches(self.balanced(10), 2, seed=0)
-        assert sorted(len(c) for c in plan.schedule) == [5, 5]
+        for epoch in (0, 3):
+            chunks = minibatch_epoch(self.balanced(10), 2, seed=0, epoch=epoch)
+            assert sorted(len(c) for c in chunks) == [5, 5]
 
     def test_sizes_differ_by_at_most_one(self):
-        plan = make_minibatches(self.balanced(10), 3, seed=1)
-        assert sorted(len(c) for c in plan.schedule) == [3, 3, 4]
+        for epoch in (0, 3):
+            chunks = minibatch_epoch(self.balanced(10), 3, seed=1, epoch=epoch)
+            assert sorted(len(c) for c in chunks) == [3, 3, 4]
 
     def test_partition_exact(self):
-        plan = make_minibatches(self.balanced(11), 3, seed=4)
-        joined = np.sort(np.concatenate(plan.schedule))
-        assert joined.tolist() == list(range(11))
+        for epoch in (0, 3):
+            chunks = minibatch_epoch(self.balanced(11), 3, seed=4, epoch=epoch)
+            joined = np.sort(np.concatenate(chunks))
+            assert joined.tolist() == list(range(11))
 
     def test_singleton_chunks_are_one_class(self):
         with pytest.raises(ValueError, match="one class"):
-            make_minibatches(self.balanced(10), 10, seed=0)
+            minibatch_epoch(self.balanced(10), 10, seed=0, epoch=0)
 
     def test_epochs_reshuffle_deterministically(self):
         d = self.balanced(12)
@@ -231,22 +232,3 @@ class TestSynthExample:
         b = synth_example(1, seed=42)
         assert a.n == 3
         assert np.array_equal(a.features, b.features)
-
-
-class TestDropPositives:
-    def make(self, n_pos=10, n_neg=5):
-        labels = np.array([True] * n_pos + [False] * n_neg)
-        return Dataset(np.arange(2.0 * (n_pos + n_neg)).reshape(-1, 2), labels)
-
-    def test_half_dropped(self):
-        d2 = drop_positives(self.make(), 0.5, seed=0)
-        assert d2.n_pos == 5 and d2.n_neg == 5
-
-    def test_zero_is_identity(self):
-        d = self.make()
-        d2 = drop_positives(d, 0.0, seed=0)
-        assert np.array_equal(d.features, d2.features)
-
-    def test_full_drop_rejected(self):
-        with pytest.raises(ValueError, match="zero positive"):
-            drop_positives(self.make(), 1.0, seed=0)

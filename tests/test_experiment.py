@@ -1,12 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from topclf.data import Dataset, SplitSpec, split, synth_example
+from topclf.data import Dataset, SplitSpec, save_csv, split, synth_example
 from topclf.experiment import (
     FIXED_LAMBDA,
     Grid,
+    ManifestError,
     RunRecord,
     SelectCriterion,
     grid_points,
@@ -49,14 +51,14 @@ class TestGrid:
 
     def test_points_sweep_the_right_axis(self):
         g = Grid()
-        assert grid_points(template("toppush"), g) == [{"lambda": lam} for lam in g.lambdas]
-        pts = grid_points(template("toppushk"), g)
+        assert grid_points("toppush", g) == [{"lambda": lam} for lam in g.lambdas]
+        pts = grid_points("toppushk", g)
         assert [p["k"] for p in pts] == list(g.ks)
         assert all(p["lambda"] == FIXED_LAMBDA for p in pts)
-        pts = grid_points(template("patmat"), g)
+        pts = grid_points("patmat", g)
         assert [p["beta"] for p in pts] == list(g.betas)
         assert all(p["lambda"] == FIXED_LAMBDA for p in pts)
-        assert grid_points(template("grill"), g) == [{"lambda": lam} for lam in g.lambdas]
+        assert grid_points("grill", g) == [{"lambda": lam} for lam in g.lambdas]
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +77,7 @@ class TestGridSearch:
         grid = Grid(lambdas=(0.001,))
         cfg = TrainConfig(iterations=40, seed=0)
         best, records = grid_search(
-            template("toppush"), grid, splits, cfg, SelectCriterion("positives_at_top")
+            "toppush", grid, splits, cfg, SelectCriterion("positives_at_top")
         )
         assert len(records) == 1
         assert best is records[0]
@@ -85,7 +87,7 @@ class TestGridSearch:
         grid = Grid(betas=(0.1, 10.0))
         cfg = TrainConfig(iterations=150, seed=0)
         select = SelectCriterion("positives_at_quantile", tau=0.2)
-        best, records = grid_search(template("patmat"), grid, splits, cfg, select)
+        best, records = grid_search("patmat", grid, splits, cfg, select, tau=0.2)
         key = "positives_at_quantile@0.2"
         values = [r.criteria["valid"][key] for r in records]
         assert best.criteria["valid"][key] == max(values)
@@ -93,7 +95,7 @@ class TestGridSearch:
     def test_patmat_beta_sweep_small_beta_escapes_zero(self, splits):
         cfg = TrainConfig(iterations=300, seed=0)
         select = SelectCriterion("positives_at_quantile", tau=0.2)
-        best, records = grid_search(template("patmat"), Grid(), splits, cfg, select)
+        best, records = grid_search("patmat", Grid(), splits, cfg, select, tau=0.2)
         chosen = best.params["beta"]
         for r in records:
             if r.params["beta"] <= chosen:
@@ -103,8 +105,8 @@ class TestGridSearch:
         grid = Grid(lambdas=(0.0, 0.01))
         cfg = TrainConfig(iterations=30, seed=7)
         select = SelectCriterion("positives_at_top")
-        _, rec_a = grid_search(template("toppush"), grid, splits, cfg, select)
-        _, rec_b = grid_search(template("toppush"), grid, splits, cfg, select)
+        _, rec_a = grid_search("toppush", grid, splits, cfg, select)
+        _, rec_b = grid_search("toppush", grid, splits, cfg, select)
         for a, b in zip(rec_a, rec_b):
             assert a.f_final == b.f_final
             assert a.criteria == b.criteria
@@ -113,9 +115,9 @@ class TestGridSearch:
         grid = Grid(betas=(0.01, 1.0))
         cfg = TrainConfig(iterations=25, seed=0)
         select = SelectCriterion("positives_at_quantile", tau=0.2)
-        best_seq, rec_seq = grid_search(template("patmat"), grid, splits, cfg, select)
+        best_seq, rec_seq = grid_search("patmat", grid, splits, cfg, select, tau=0.2)
         best_par, rec_par = grid_search(
-            template("patmat"), grid, splits, cfg, select, jobs=2
+            "patmat", grid, splits, cfg, select, tau=0.2, jobs=2
         )
         assert best_seq.params == best_par.params
         for a, b in zip(rec_seq, rec_par):
@@ -154,11 +156,12 @@ class TestZeroAudit:
         grid = Grid(lambdas=(0.0, 0.001, 0.01))
         cfg = TrainConfig(iterations=120, seed=0)
         _, records = grid_search(
-            template("topmean", tau=0.2),
+            "topmean",
             grid,
             splits,
             cfg,
             SelectCriterion("positives_at_quantile", tau=0.2),
+            tau=0.2,
         )
         rows = zero_audit(records)
         assert rows[0]["outcome"] == "none"
@@ -280,7 +283,7 @@ class TestRunManifest:
     def test_rerun_differs_only_in_wall_times(self, tmp_path):
         manifest = {
             "datasets": [{"name": "synth", "format": "synth", "n": 120, "seed": 4}],
-            "methods": [{"method": "toppushk", "k": 2}, {"method": "grill", "tau": 0.2}],
+            "methods": [{"method": "toppushk"}, {"method": "grill", "tau": 0.2}],
             "grid": {"lambdas": [0.0, 0.01], "ks": [2]},
             "train": {"iterations": 20},
             "split": {"seed": 6},
@@ -300,6 +303,64 @@ class TestRunManifest:
             records.append(recs)
         assert len(records[0]) == 3
         assert records[0] == records[1]
+
+
+def small_manifest():
+    return {
+        "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
+        "methods": [{"method": "toppushk"}, {"method": "patmat", "tau": 0.2}],
+        "grid": {"lambdas": [0.0], "ks": [1], "betas": [0.1]},
+        "train": {"iterations": 5, "adam": {"step_size": 0.01}},
+        "split": {"seed": 2},
+        "select": {"criterion": "positives_at_top"},
+        "criteria_taus": [0.2],
+        "loss": "hinge",
+    }
+
+
+class TestManifestKeys:
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            ((), "critera_taus"),
+            (("train",), "iteratons"),
+            (("train", "adam"), "stepsize"),
+            (("grid",), "taus"),
+            (("split",), "seeds"),
+            (("select",), "criterium"),
+            (("datasets", 0), "path"),
+            (("methods", 0), "k"),
+            (("methods", 0), "tau"),
+            (("methods", 1), "beta"),
+        ],
+    )
+    def test_unknown_key_rejected_before_any_work(self, tmp_path, path, key):
+        manifest = small_manifest()
+        doc = manifest
+        for step in path:
+            doc = doc[step]
+        doc[key] = 1
+        with pytest.raises(ManifestError, match=f"'{key}'"):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_tau_rejected(self, tmp_path):
+        manifest = small_manifest()
+        del manifest["methods"][1]["tau"]
+        with pytest.raises(ManifestError, match="patmat requires tau"):
+            run_manifest(manifest, tmp_path / "out")
+
+    def test_readme_example_loads(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("**Experiment manifest**")[1].split("```json\n")[1]
+        manifest = json.loads(block.split("```")[0])
+        # same keys, smaller work: the csv entry reads a generated file
+        monkeypatch.chdir(tmp_path)
+        save_csv(synth_example(60, seed=0), manifest["datasets"][0]["path"])
+        manifest["datasets"][1]["n"] = 60
+        manifest["train"]["iterations"] = 3
+        run_manifest(manifest, tmp_path / "out")
+        assert (tmp_path / "out" / "rank_table.csv").exists()
 
 
 class TestMethodId:

@@ -1,0 +1,68 @@
+"""CLI artifacts pinned byte for byte against stored goldens.
+
+``tests/golden/`` holds the exact ``model.json``, ``report.json`` and
+``run_records.json`` that ``topclf train``, ``eval`` and ``grid`` write for
+an 81-sample planted-outlier dataset.  A change of key order, number format
+or indentation fails here, where a rerun-against-rerun comparison would
+not.  ``ms_per_iter`` is a wall time and is masked before the comparison.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from topclf.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+MANIFEST = {
+    "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 5}],
+    "methods": [
+        {"method": "toppush"},
+        {"method": "toppushk"},
+        {"method": "patmat", "tau": 0.1},
+    ],
+    "grid": {"betas": [0.1, 1.0], "ks": [1, 2], "lambdas": [0, 0.01]},
+    "train": {"iterations": 20, "seed": 2, "adam": {"step_size": 0.05}},
+    "split": {"seed": 1},
+    "select": {"criterion": "positives_at_np", "tau": 0.1},
+    "criteria_taus": [0.05],
+}
+
+
+def run(*argv):
+    assert main([str(a) for a in argv]) == 0
+
+
+def produce(tmp: Path) -> dict[str, bytes]:
+    """The three artifacts, written under ``tmp``."""
+    data = tmp / "synth.csv"
+    run("synth", "--n", 40, "--seed", 3, "--out", data)
+    run(
+        "train", "--method", "patmat", "--tau", 0.1, "--beta", 0.5, "--lambda", 0.001,
+        "--data", data, "--iters", 30, "--minibatches", 2, "--seed", 1, "--out", tmp / "run",
+    )
+    run(
+        "eval", "--model", tmp / "run" / "model.json", "--data", data,
+        "--taus", "0.05,0.2", "--out", tmp / "eval",
+    )
+    (tmp / "manifest.json").write_text(json.dumps(MANIFEST))
+    run("grid", "--manifest", tmp / "manifest.json", "--out", tmp / "grid")
+    records = (tmp / "grid" / "run_records.json").read_bytes()
+    return {
+        "model.json": (tmp / "run" / "model.json").read_bytes(),
+        "report.json": (tmp / "eval" / "report.json").read_bytes(),
+        "run_records.json": re.sub(rb'"ms_per_iter": [^,\n]+', b'"ms_per_iter": 0', records),
+    }
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return produce(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", ["model.json", "report.json", "run_records.json"])
+def test_artifact_matches_golden(outputs, name):
+    assert outputs[name] == (GOLDEN / name).read_bytes()

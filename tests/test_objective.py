@@ -11,7 +11,7 @@ from helpers import (
     random_dataset,
 )
 from topclf.data import Dataset, synth_example
-from topclf.objective import ObjectiveSpec, evaluate, gradient, objective, surrogate_counts
+from topclf.objective import ObjectiveSpec, evaluate, gradient, objective
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
 from topclf.threshold import ThresholdRule, scores, threshold
 
@@ -41,32 +41,13 @@ class TestObjectiveSpec:
         assert make_spec("quantile").include_fp is True
         assert make_spec("top_push").include_fp is False
 
-    def test_contradictory_flag_rejected(self):
-        with pytest.raises(ValueError, match="include_fp"):
+    def test_flag_is_not_settable(self):
+        with pytest.raises(TypeError, match="include_fp"):
             ObjectiveSpec(rule=ThresholdRule("top_push"), include_fp=True)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
             make_spec("top_push", lam=-1.0)
-
-
-class TestSurrogateCounts:
-    def test_all_scores_zero(self):
-        d = random_dataset(np.random.default_rng(0))
-        fn_s, fp_s, tp_s, tn_s = surrogate_counts(np.zeros(d.m), 0.0, d)
-        assert fn_s == d.n_pos and fp_s == d.n_neg
-        assert tp_s == d.n_pos and tn_s == d.n_neg
-
-    def test_flat_branch_vanishes(self):
-        d = Dataset(np.array([[5.0], [0.0]]), [True, False])
-        fn_s, _, _, _ = surrogate_counts(np.array([1.0]), 1.0, d)
-        # t - w.x = -4 for the positive: below the hinge elbow
-        assert fn_s == 0.0
-
-    def test_boundary_sample_counts_one(self):
-        d = Dataset(np.array([[2.0], [0.0]]), [True, False])
-        fn_s, _, _, _ = surrogate_counts(np.array([1.0]), 2.0, d)
-        assert fn_s == 1.0
 
 
 class TestObjectiveValues:
@@ -241,18 +222,6 @@ class TestSurrogateQuantileEscapesZero:
             beta = constructed_beta(z, float(pool.mean()), tau)
             spec = make_spec(kind, tau=tau, beta=beta)
             assert objective(spec, w, d) < objective(spec, np.zeros(d.m), d)
-
-
-class TestSurrogateDominance:
-    def test_normalized_fn_bounds_count(self):
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            d = random_dataset(rng)
-            w = rng.uniform(-1, 1, d.m)
-            t = float(rng.normal())
-            fn_s, _, _, _ = surrogate_counts(w, t, d)
-            fn_count = int(np.count_nonzero(scores(w, d)[d.pos_idx] < t))
-            assert fn_s / d.n_pos >= fn_count / d.n_pos
 
 
 ALL_KINDS = CONVEX_KINDS + ["quantile", "quantile_np"]

@@ -1,8 +1,11 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from helpers import central_diff, random_dataset
-from topclf.data import Dataset, make_minibatches, minibatch_epoch, synth_example
+from topclf.data import Dataset, minibatch_epoch, synth_example
 from topclf.objective import ObjectiveSpec, gradient, objective
 from topclf.solver import (
     AdamParams,
@@ -81,7 +84,7 @@ class TestTrainConfig:
             project_unit_ball=False,
             init="uniform",
         )
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,8 +163,7 @@ class TestTrain:
     def test_minibatch_gradient_is_exact_on_chunk(self):
         rng = np.random.default_rng(7)
         d = random_dataset(rng, n=40, m=3)
-        plan = make_minibatches(d, 4, seed=2)
-        chunk = d.subset(plan.schedule[1])
+        chunk = d.subset(minibatch_epoch(d, 4, seed=2, epoch=0)[1])
         spec = ObjectiveSpec(rule=ThresholdRule("top_push_k", k=2), lam=0.01)
         w = rng.uniform(-1, 1, 3)
         fd = central_diff(lambda v: objective(spec, v, chunk), w)

@@ -42,10 +42,6 @@ class TestDerivatives:
         assert QUADRATIC_HINGE.deriv(0.0) == 2.0
         assert QUADRATIC_HINGE.deriv(-2.0) == 0.0
 
-    def test_deriv_at_zero_constant(self):
-        assert HINGE.deriv_at_zero == 1.0
-        assert QUADRATIC_HINGE.deriv_at_zero == 2.0
-
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
     def test_matches_finite_differences_away_from_kink(self, loss):
         rng = np.random.default_rng(0)

@@ -198,7 +198,8 @@ class TestDispatch:
         rule = ThresholdRule("surrogate_quantile", tau=0.25, beta=0.5)
         res = threshold(rule, np.zeros(3), d)
         assert res.t == pytest.approx((1 - 0.25) / 0.5, abs=1e-12)
-        np.testing.assert_allclose(res.grad_t, d.features.mean(axis=0))
+        grad_t = res.weights @ d.features[res.support]
+        np.testing.assert_allclose(grad_t, d.features.mean(axis=0))
 
     def test_top_push_k_support_mean(self):
         features = np.array([[3.0], [1.0], [2.0], [9.0]])
@@ -206,13 +207,14 @@ class TestDispatch:
         d = Dataset(features, labels)
         res = threshold(ThresholdRule("top_push_k", k=2), np.array([1.0]), d)
         assert res.t == 2.5
-        np.testing.assert_allclose(res.grad_t, [(3.0 + 2.0) / 2])
+        grad_t = res.weights @ d.features[res.support]
+        np.testing.assert_allclose(grad_t, [(3.0 + 2.0) / 2])
 
     def test_quantile_gradient_is_zero(self):
         d = random_dataset(np.random.default_rng(2))
         for kind in ("quantile", "quantile_np"):
             res = threshold(make_rule(kind), np.ones(d.m), d)
-            assert np.all(res.grad_t == 0.0)
+            assert np.all(res.weights @ d.features[res.support] == 0.0)
             assert res.support.size >= 1
 
     def test_np_kinds_use_negatives_only(self):
@@ -369,7 +371,8 @@ class TestThresholdGradient:
             if not is_stable(lambda v: active_pattern(rule, v, d, loss), w, h):
                 continue
             stable_checked += 1
-            grad = threshold(rule, w, d, loss).grad_t
+            res = threshold(rule, w, d, loss)
+            grad = res.weights @ d.features[res.support]
             fd = central_diff(lambda v: threshold(rule, v, d, loss).t, w, h)
             if np.linalg.norm(fd - grad) <= 1e-4 * max(1.0, np.linalg.norm(grad)):
                 matched += 1
@@ -380,7 +383,8 @@ class TestThresholdGradient:
         rng = np.random.default_rng(43)
         d = random_dataset(rng, n=25, m=3)
         res = threshold(ThresholdRule("top_push_k", k=3), rng.uniform(-1, 1, 3), d)
-        np.testing.assert_allclose(res.grad_t, d.features[res.support].mean(axis=0))
+        grad_t = res.weights @ d.features[res.support]
+        np.testing.assert_allclose(grad_t, d.features[res.support].mean(axis=0))
 
 
 def tied_scores_dataset(rng, n):
