@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import SplitSpec, load_csv, load_libsvm, save_csv, split, synth_example
-from .evaluation import build_report, write_curve_csv
+from .evaluation import CRITERION_KINDS, build_report, check_taus, write_curve_csv
 from .experiment import (
     Grid,
     ManifestError,
@@ -30,8 +30,8 @@ from .surrogate import make_loss
 from .threshold import CLI_TOKENS, method_params, rule_from_token
 
 
-def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="dataset file")
+def _add_data_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--data", required=required, help="dataset file")
     p.add_argument("--format", choices=("csv", "libsvm"), default="csv")
     p.add_argument("--label", default="label", help="CSV label column name")
     p.add_argument("--pos", default="1", help="CSV label value marking positives")
@@ -106,10 +106,14 @@ def cmd_train(args, parser) -> int:
 
 
 def _parse_taus(text: str) -> list[float]:
-    taus = [float(tok) for tok in text.split(",") if tok]
+    """Comma-separated quantiles, sorted; each in (0, 1] and none repeated."""
+    try:
+        taus = check_taus(sorted(float(tok) for tok in text.split(",") if tok))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not taus:
-        raise ValueError("empty tau list")
-    return sorted(taus)
+        raise argparse.ArgumentTypeError("empty tau list")
+    return taus
 
 
 def cmd_eval(args, parser, curves_only: bool = False) -> int:
@@ -119,8 +123,7 @@ def cmd_eval(args, parser, curves_only: bool = False) -> int:
         raise ValueError(
             f"model expects {model.w.shape[0]} features, dataset has {dataset.m}"
         )
-    taus = _parse_taus(args.taus)
-    report = build_report(model.w, model.t_final, dataset, taus)
+    report = build_report(model.w, model.t_final, dataset, args.taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(report.pr_curve, out / "pr_curve.csv", ("recall", "precision"))
@@ -173,11 +176,14 @@ def cmd_grid(args, parser) -> int:
     # k, beta and lambda come from the grid; tau is fixed for the whole grid
     if "tau" in method_params(args.method) and args.tau is None:
         parser.error(f"method {args.method} requires --tau")
+    try:
+        select = SelectCriterion(kind=args.criterion, tau=args.criterion_tau)
+    except ValueError as exc:
+        parser.error(f"--criterion-tau: {exc}")
     dataset = _load_dataset(args)
     splits = split(dataset, SplitSpec(seed=args.seed))
     swept = {name: getattr(args, name) for name in ("betas", "lambdas", "ks")}
     grid = Grid(**{name: tuple(values) for name, values in swept.items() if values})
-    select = SelectCriterion(kind=args.criterion, tau=args.criterion_tau)
     best, records = grid_search(
         args.method, grid, splits, _train_config(args), select,
         tau=args.tau, loss=make_loss(args.loss), jobs=args.jobs,
@@ -214,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model.json from train")
         _add_data_args(p)
-        p.add_argument("--taus", default="0.01,0.03", help="comma-separated quantiles")
+        p.add_argument(
+            "--taus", type=_parse_taus, default="0.01,0.03", help="comma-separated quantiles"
+        )
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate the planted-outlier dataset")
@@ -235,15 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="hyperparameter grid search", allow_abbrev=False)
     p.add_argument("--manifest", help="experiment manifest JSON")
     _add_method_args(p, required=False)
-    p.add_argument("--data", help="dataset file (flag mode)")
-    p.add_argument("--format", choices=("csv", "libsvm"), default="csv")
-    p.add_argument("--label", default="label")
-    p.add_argument("--pos", default="1")
+    _add_data_args(p, required=False)
     _add_train_args(p)
     p.add_argument("--betas", type=float, nargs="*")
     p.add_argument("--lambdas", type=float, nargs="*")
     p.add_argument("--ks", type=int, nargs="*")
-    p.add_argument("--criterion", default="positives_at_top")
+    p.add_argument("--criterion", choices=CRITERION_KINDS, default="positives_at_top")
     p.add_argument("--criterion-tau", type=float)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)

@@ -261,24 +261,14 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     fixed seed.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        part_pools: list[list[np.ndarray]] = [[], [], []]
-        for pool in (d.pos_idx, d.neg_idx):
-            sizes = _largest_remainder(pool.size, spec.fractions)
-            shuffled = rng.permutation(pool)
-            offset = 0
-            for part, size in enumerate(sizes):
-                part_pools[part].append(shuffled[offset : offset + size])
-                offset += size
-        parts = [np.sort(np.concatenate(chunks)) for chunks in part_pools]
-    else:
-        sizes = _largest_remainder(d.n, spec.fractions)
-        shuffled = rng.permutation(d.n)
-        parts = []
-        offset = 0
-        for size in sizes:
-            parts.append(np.sort(shuffled[offset : offset + size]))
-            offset += size
+    pools = (d.pos_idx, d.neg_idx) if spec.stratified else (np.arange(d.n),)
+    part_pools: list[list[np.ndarray]] = [[], [], []]
+    for pool in pools:
+        sizes = _largest_remainder(pool.size, spec.fractions)
+        chunks = np.split(rng.permutation(pool), np.cumsum(sizes)[:-1])
+        for part, chunk in zip(part_pools, chunks):
+            part.append(chunk)
+    parts = [np.sort(np.concatenate(chunks)) for chunks in part_pools]
     for name, idx in zip(("train", "validation", "test"), parts):
         if idx.size == 0:
             raise ValueError(f"split would leave the {name} part empty")

@@ -83,15 +83,31 @@ def precision_recall(c: Counts) -> tuple[float, float]:
     return precision, recall
 
 
+def check_taus(taus) -> list[float]:
+    """``taus`` as a list, after checking each lies in (0, 1] and they increase."""
+    taus = list(taus)
+    if any(not 0.0 < t <= 1.0 for t in taus):
+        raise ValueError(f"taus must lie in (0, 1], got {taus}")
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"taus must be strictly increasing, got {taus}")
+    return taus
+
+
+def check_criterion(kind: str, tau: float | None) -> None:
+    """Reject an unknown criterion, a missing tau where it needs one, a bad tau."""
+    if kind not in CRITERION_KINDS:
+        raise ValueError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
+    if tau is not None:
+        check_taus([tau])
+    elif kind != "positives_at_top":
+        raise ValueError(f"{kind} requires tau")
+
+
 def ptau_curve(
     w: np.ndarray, d: Dataset, taus
 ) -> list[tuple[float, float]]:
     """Precision at the top tau-quantile threshold, per requested tau."""
-    taus = list(taus)
-    if any(not 0.0 < t <= 1.0 for t in taus):
-        raise ValueError("taus must lie in (0, 1]")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("taus must be strictly increasing")
+    taus = check_taus(taus)
     z = scores(w, d)
     points = []
     for tau in taus:
@@ -106,15 +122,20 @@ def pr_curve(w: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
 
     Thresholds run from the highest score downward; among points with equal
     recall only the best precision is kept, so recalls come out strictly
-    increasing.
+    increasing.  One descending sort gives the counts at every threshold:
+    predicted positives at a score are all samples up to the last of its ties.
     """
     z = scores(w, d)
-    best: dict[float, float] = {}
-    for t in np.unique(z)[::-1]:
-        precision, recall = precision_recall(counts(w, float(t), d))
-        if recall not in best or precision > best[recall]:
-            best[recall] = precision
-    return sorted(best.items())
+    order = np.argsort(-z, kind="stable")
+    z = z[order]
+    last = np.flatnonzero(np.append(z[1:] != z[:-1], True))
+    tp = np.cumsum(d.labels[order])[last]
+    # equal recall means equal tp with more predicted positives, so the first
+    # point of each recall has the best precision
+    first = np.append(True, tp[1:] != tp[:-1])
+    tp, predicted = tp[first], last[first] + 1
+    recall = tp / d.n_pos if d.n_pos else np.ones(tp.size)
+    return list(zip(recall.tolist(), (tp / predicted).tolist()))
 
 
 def criterion(
@@ -126,8 +147,7 @@ def criterion(
     ``positives_at_quantile`` the top tau-quantile of all scores and
     ``positives_at_np`` the top tau-quantile of the negative scores.
     """
-    if kind not in CRITERION_KINDS:
-        raise ValueError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
+    check_criterion(kind, tau)
     if d.n_pos == 0:
         raise ValueError("criterion undefined without positive samples")
     z = scores(w, d)
@@ -136,8 +156,6 @@ def criterion(
             raise ValueError("positives_at_top undefined without negative samples")
         t = float(z[d.neg_idx].max())
     else:
-        if tau is None:
-            raise ValueError(f"{kind} requires tau")
         pool = z if kind == "positives_at_quantile" else z[d.neg_idx]
         if pool.size == 0:
             raise ValueError(f"{kind} undefined without negative samples")

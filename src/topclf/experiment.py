@@ -27,7 +27,7 @@ from scipy.stats import rankdata
 
 from . import data as data_mod
 from .data import Dataset, SplitSpec, split, synth_example
-from .evaluation import criteria_table
+from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, objective
 from .solver import AdamParams, Model, TrainConfig, train
 from .surrogate import HINGE, SurrogateLoss, make_loss
@@ -63,6 +63,9 @@ class Grid:
 class SelectCriterion:
     kind: str
     tau: float | None = None
+
+    def __post_init__(self):
+        check_criterion(self.kind, self.tau)
 
 
 @dataclass
@@ -107,8 +110,6 @@ def grid_points(method: str, grid: Grid) -> list[dict]:
 def _criterion_key(select: SelectCriterion) -> str:
     if select.kind == "positives_at_top":
         return select.kind
-    if select.tau is None:
-        raise ValueError(f"{select.kind} needs a tau")
     return f"{select.kind}@{select.tau:g}"
 
 
@@ -385,9 +386,14 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     cfg = TrainConfig(**manifest.get("train", {}))
     spec_split = SplitSpec(**manifest.get("split", {}))
     select_doc = manifest["select"]
-    select = SelectCriterion(kind=select_doc["criterion"], tau=select_doc.get("tau"))
-    loss = make_loss(manifest.get("loss", "hinge"))
     criteria_taus = manifest.get("criteria_taus", [0.01, 0.03])
+    try:
+        select = SelectCriterion(kind=select_doc.get("criterion"), tau=select_doc.get("tau"))
+        for tau in criteria_taus:
+            check_taus([tau])
+    except ValueError as exc:
+        raise ManifestError(f"invalid selection criterion or criteria_taus: {exc}") from None
+    loss = make_loss(manifest.get("loss", "hinge"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

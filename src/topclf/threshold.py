@@ -24,6 +24,8 @@ weights l'(beta*(z_i-t)) / sum_j l'(beta*(z_j-t)) on the samples with a
 positive derivative; the exact quantile rules put zero on the samples tied
 at t and expect the caller to recompute t after each step.  The objective
 folds these coefficients into a single product with the feature matrix.
+The surrogate quantile is solved exactly, for both losses, by one scan over
+the sorted breakpoints of its piecewise linear or quadratic equation.
 """
 
 from __future__ import annotations
@@ -178,10 +180,9 @@ def exact_quantile(values: np.ndarray, tau: float) -> float:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take a quantile of an empty vector")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must lie in (0, 1], got {tau}")
     k = math.ceil(tau * values.size)
-    if k < 1:
-        raise ValueError(f"ceil(tau*n) must be >= 1, got tau={tau}, n={values.size}")
-    k = min(k, values.size)
     return float(np.partition(values, values.size - k)[values.size - k])
 
 
@@ -191,10 +192,11 @@ def surrogate_quantile(
     """Solve mean_i l(beta*(z_i - t)) = tau for t.
 
     The left side is continuous, non-increasing in t and strictly decreasing
-    wherever it is positive, so the root is unique for tau in (0, 1).  For
-    the hinge loss the equation is piecewise linear in t and is solved
-    exactly by scanning the breakpoints t_j = z_(j) + 1/beta in descending
-    score order; other losses fall back to bisection.
+    wherever it is positive, so the root is unique for tau in (0, 1).  Between
+    the breakpoints t_j = z_(j) + 1/beta, scores in descending order, exactly
+    the j largest scores are active and the equation is linear (hinge) or
+    quadratic (quadratic hinge) in t; one scan of the breakpoint residuals
+    finds the segment of the root, which is solved there in closed form.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -203,64 +205,42 @@ def surrogate_quantile(
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if loss.kind == "hinge":
-        return _hinge_surrogate_quantile(values, tau, beta)
-    return _bisect_surrogate_quantile(values, tau, beta, loss)
-
-
-def _hinge_surrogate_quantile(values: np.ndarray, tau: float, beta: float) -> float:
     n = values.size
     z = np.sort(values)[::-1]
-    prefix = np.concatenate(([0.0], np.cumsum(z)))
-    # residual at breakpoint z_(j) + 1/beta, where the j-th term vanishes:
-    # c_j = (beta/n) * sum_{i<j} (z_(i) - z_(j)), non-decreasing in j
     j = np.arange(n)
-    c = (beta / n) * (prefix[j] - j * z)
-    # mathematically non-decreasing; accumulate guards the binary search
-    # against rounding wobble in the prefix-sum cancellation
+    # residual at breakpoint t_j, where the j-th term vanishes, non-decreasing in j
+    if loss.kind == "hinge":
+        # c_j = (beta/n) * sum_{i<j} (z_(i) - z_(j))
+        prefix = np.concatenate(([0.0], np.cumsum(z)))
+        c = (beta / n) * (prefix[j] - j * z)
+    else:
+        # c_j = (beta^2/n) * sum_{i<j} (z_(i) - z_(j))^2 from prefix sums of
+        # y = z - z_(0): each term is at most y_j^2 and the sum at least y_j^2,
+        # so the cancellation error does not grow with the score offset
+        y = z - z[0]
+        py = np.concatenate(([0.0], np.cumsum(y)))
+        qy = np.concatenate(([0.0], np.cumsum(y * y)))
+        c = (beta * beta / n) * (qy[j] - 2.0 * y * py[j] + j * y * y)
+    # accumulate guards the binary search against rounding wobble in the
+    # prefix-sum cancellation
     c = np.maximum.accumulate(c)
-    first = int(np.searchsorted(c, tau, side="left"))
-    if first >= n:
-        # level tau lies below every breakpoint: all samples active
-        return float(prefix[n] / n + (1.0 - tau) / beta)
-    # on the segment ending at breakpoint index `first`, the active set is
-    # the `first` largest scores; solve a + beta*(S_a - a t) = n tau
-    a = first
-    return float((a + beta * prefix[a] - n * tau) / (beta * a))
-
-
-def _bisect_surrogate_quantile(
-    values: np.ndarray, tau: float, beta: float, loss: SurrogateLoss, max_iter: int = 200
-) -> float:
-    def residual(t: float) -> float:
-        return float(np.mean(loss.value(beta * (values - t)))) - tau
-
-    hi = float(values.max()) + 1.0 / beta  # residual == -tau for our losses
-    lo = float(values.min()) - 1.0 / beta
-    span = max(hi - lo, 1.0)
-    while residual(lo) < 0.0:
-        lo -= span
-        span *= 2.0
-        if not math.isfinite(lo):
-            raise RuntimeError("failed to bracket the surrogate quantile")
-    # bisect until the bracket collapses to float resolution; stopping at the
-    # residual tolerance early would leave jitter in t that finite-difference
-    # consumers of the threshold gradient amplify by 1/h
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    tol = 1e-10 * max(1.0, tau)
-    if abs(residual(mid)) <= tol:
-        return mid
-    raise RuntimeError(
-        f"surrogate quantile bisection did not converge after {max_iter} iterations"
-    )
+    # the root lies on the segment where the `a` largest scores are active;
+    # a == n when tau exceeds every breakpoint residual
+    a = int(np.searchsorted(c, tau, side="left"))
+    if loss.kind == "hinge":
+        if a >= n:
+            return float(prefix[n] / n + (1.0 - tau) / beta)
+        # solve a + beta*(S_a - a t) = n tau
+        return float((a + beta * prefix[a] - n * tau) / (beta * a))
+    # solve sum_{i<a} (1 + beta*(z_(i) - t))^2 = n tau, i.e. a*s^2 + beta^2*D
+    # = n tau with s = 1 + beta*(m - t) >= 0, m the mean and D the centred sum
+    # of squares of the active scores (from the scores, for full precision);
+    # n tau > n c_(a-1) >= beta^2 D, so only rounding can make s^2 negative
+    top = z[:a]
+    m = top.mean()
+    dev = top - m
+    s2 = max((n * tau - beta * beta * float(dev @ dev)) / a, 0.0)
+    return float(m + (1.0 - math.sqrt(s2)) / beta)
 
 
 def threshold(

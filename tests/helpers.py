@@ -39,6 +39,39 @@ def brute_force_quantile(values, tau):
     return max(feasible)
 
 
+def oracle_surrogate_quantile(values, tau, beta, loss, max_iter=200):
+    """Root t of mean_i l(beta*(z_i - t)) = tau by bisection.
+
+    The bracket grows downward until the residual changes sign, then halves
+    until it collapses to float resolution.  Raises when either fails.
+    """
+    values = np.asarray(values, dtype=np.float64)
+
+    def residual(t):
+        return float(np.mean(loss.value(beta * (values - t)))) - tau
+
+    hi = float(values.max()) + 1.0 / beta  # residual == -tau for our losses
+    lo = float(values.min()) - 1.0 / beta
+    span = max(hi - lo, 1.0)
+    while residual(lo) < 0.0:
+        lo -= span
+        span *= 2.0
+        if not math.isfinite(lo):
+            raise RuntimeError("failed to bracket the surrogate quantile")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    if abs(residual(mid)) <= 1e-10 * max(1.0, tau):
+        return mid
+    raise RuntimeError(f"bisection did not converge after {max_iter} iterations")
+
+
 def grid_solve(fun, lo, hi, levels=4, points=2000):
     """Find a zero of a monotone decreasing function by nested grid zoom."""
     for _ in range(levels):

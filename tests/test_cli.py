@@ -114,6 +114,19 @@ class TestEval:
         code = run("eval", "--model", model, "--data", other, "--out", tmp_path / "e2")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["eval", "curve"])
+    @pytest.mark.parametrize("taus", ["abc", "0.5,0.5", "0,0.1", "1.5", ","])
+    def test_bad_taus_are_usage_errors(self, data_csv, tmp_path, capsys, command, taus):
+        model = self.fit(data_csv, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(
+                command, "--model", model, "--data", data_csv, "--taus", taus,
+                "--out", tmp_path / "e",
+            )
+        assert exc.value.code == 2
+        assert "--taus" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_curve_command_skips_report(self, data_csv, tmp_path):
         model = self.fit(data_csv, tmp_path)
         out = tmp_path / "curves"
@@ -179,6 +192,37 @@ class TestGrid:
         with pytest.raises(SystemExit) as exc:
             run("grid", "--method", "toppushk", "--data", data_csv, flag, 1, "--out", tmp_path)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            ["--criterion", "positives_at_tpo"],
+            ["--criterion", "positives_at_np"],
+            ["--criterion", "positives_at_np", "--criterion-tau", 1.5],
+            ["--criterion", "positives_at_top", "--criterion-tau", 0],
+        ],
+    )
+    def test_bad_criterion_is_usage_error_before_loading(self, tmp_path, select):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "grid", "--method", "toppush", "--data", tmp_path / "missing.csv",
+                *select, "--out", tmp_path / "g",
+            )
+        assert exc.value.code == 2
+
+    def test_bad_manifest_criterion_is_usage_error(self, tmp_path, capsys):
+        manifest = {
+            "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
+            "methods": [{"method": "toppush"}],
+            "select": {"criterion": "positives_at_tpo"},
+        }
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "exp")
+        assert exc.value.code == 2
+        assert "positives_at_tpo" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     def test_needs_method_or_manifest(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -146,6 +146,15 @@ class TestPrCurve:
             d = random_dataset(rng, n=20)
             w = rng.uniform(-1, 1, d.m)
             assert pr_curve(w, d) == brute_pr_curve(w, d)
+        for _ in range(100):
+            # integer scores with many ties, zero weights and one-class data
+            n = int(rng.integers(1, 30))
+            z = rng.integers(-3, 4, n).astype(float)
+            d = Dataset(z[:, None], rng.random(n) < rng.choice([0.0, 0.3, 1.0]))
+            for w in (W1, np.zeros(1)):
+                got = pr_curve(w, d)
+                assert got == brute_pr_curve(w, d)
+                assert all(type(x) is float for point in got for x in point)
 
 
 class TestCriterion:
@@ -190,6 +199,17 @@ class TestCriterion:
         d = dataset_from_scores([1.0], [0.0])
         with pytest.raises(ValueError, match="tau"):
             criterion("positives_at_np", W1, d)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, 1.5])
+    def test_tau_outside_unit_interval_rejected(self, tau):
+        d = dataset_from_scores([1.0], [0.0])
+        for kind in ("positives_at_quantile", "positives_at_np"):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                criterion(kind, W1, d, tau)
+
+    def test_tau_one_is_the_whole_pool(self):
+        d = dataset_from_scores([3.0, -1.0], [0.0, 1.0])
+        assert criterion("positives_at_quantile", W1, d, 1.0) == 1.0
 
 
 class TestQuantileCountIdentity:

@@ -83,6 +83,20 @@ class TestGridSearch:
         assert best is records[0]
         assert best.params == {"lambda": 0.001}
 
+    @pytest.mark.parametrize(
+        "kind, tau, message",
+        [
+            ("positives_at_tpo", None, "unknown criterion"),
+            ("positives_at_np", None, "requires tau"),
+            ("positives_at_quantile", 1.5, r"\(0, 1\]"),
+            ("positives_at_np", 0.0, r"\(0, 1\]"),
+            ("positives_at_top", -0.5, r"\(0, 1\]"),
+        ],
+    )
+    def test_select_criterion_rejected_up_front(self, kind, tau, message):
+        with pytest.raises(ValueError, match=message):
+            SelectCriterion(kind, tau=tau)
+
     def test_dominant_point_selected(self, splits):
         grid = Grid(betas=(0.1, 10.0))
         cfg = TrainConfig(iterations=150, seed=0)
@@ -348,6 +362,31 @@ class TestManifestKeys:
         manifest = small_manifest()
         del manifest["methods"][1]["tau"]
         with pytest.raises(ManifestError, match="patmat requires tau"):
+            run_manifest(manifest, tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "select, message",
+        [
+            ({"criterion": "positives_at_tpo"}, "unknown criterion"),
+            ({"criterion": "positives_at_np"}, "requires tau"),
+            ({"criterion": "positives_at_np", "tau": 1.5}, r"\(0, 1\]"),
+            ({"criterion": "positives_at_quantile", "tau": 0.0}, r"\(0, 1\]"),
+            ({"tau": 0.1}, "unknown criterion"),
+        ],
+    )
+    def test_bad_selection_rejected_before_any_work(self, tmp_path, select, message):
+        manifest = small_manifest()
+        # a dataset that cannot load shows the check comes first
+        manifest["datasets"] = [{"name": "gone", "path": "missing.csv", "label": "y", "pos": "1"}]
+        manifest["select"] = select
+        with pytest.raises(ManifestError, match=message):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_criteria_tau_rejected(self, tmp_path):
+        manifest = small_manifest()
+        manifest["criteria_taus"] = [0.2, 1.5]
+        with pytest.raises(ManifestError, match=r"\(0, 1\]"):
             run_manifest(manifest, tmp_path / "out")
 
     def test_readme_example_loads(self, tmp_path, monkeypatch):

@@ -9,8 +9,10 @@ from helpers import (
     central_diff,
     grid_solve,
     is_stable,
+    oracle_surrogate_quantile,
     oracle_top_k_mean,
     random_dataset,
+    tied_integer_dataset,
 )
 from topclf.data import Dataset, synth_example
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
@@ -144,6 +146,39 @@ class TestSurrogateQuantile:
             t = surrogate_quantile(values, tau, beta, loss)
             residual = np.mean(loss.value(beta * (values - t))) - tau
             assert abs(residual) <= 1e-10 * max(1.0, tau)
+
+    @pytest.mark.parametrize("loss", [HINGE, QUADRATIC_HINGE], ids=lambda l: l.kind)
+    def test_matches_bisection_oracle(self, loss):
+        rng = np.random.default_rng(13)
+        cases = []
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            values = rng.normal(scale=rng.uniform(0.1, 5.0), size=n)
+            tau = float(rng.uniform(0.01, 0.95))
+            beta = float(10.0 ** rng.uniform(-3, 1))
+            cases.append((values, tau, beta, None))
+        for tau in (0.1, 0.2, 0.5):
+            for beta in (0.05, 1.0, 10.0):
+                values = tied_integer_dataset(rng, 40, tau).features[:, 0]
+                cases.append((values, tau, beta, None))
+        cases += [
+            (rng.normal(scale=0.01, size=50), 0.9, 1.0, 50),  # every sample active
+            (np.r_[5.0, np.zeros(9)], 0.05, 1.0, 1),  # only the top score active
+            (rng.normal(size=100), 0.1, 10.0, None),
+        ]
+        for values, tau, beta, active in cases:
+            t = surrogate_quantile(values, tau, beta, loss)
+            oracle = oracle_surrogate_quantile(values, tau, beta, loss)
+            assert abs(t - oracle) <= 1e-9 * max(1.0, abs(oracle))
+            if active is not None:
+                assert np.count_nonzero(beta * (values - t) > -1.0) == active
+
+    def test_quadratic_scan_ignores_score_offset(self):
+        values = np.random.default_rng(17).normal(size=2000)
+        for tau, beta in ((0.05, 1.0), (0.01, 10.0)):
+            t = surrogate_quantile(values, tau, beta, QUADRATIC_HINGE)
+            shifted = surrogate_quantile(values + 1e8, tau, beta, QUADRATIC_HINGE)
+            assert abs(shifted - 1e8 - t) <= 1e-6
 
     def test_solution_unique_and_monotone_in_tau(self):
         rng = np.random.default_rng(5)
