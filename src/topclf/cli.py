@@ -7,23 +7,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-
 from . import __version__
-from .data import SplitSpec, load_csv, load_libsvm, save_csv, split, synth_example
+from .data import load_csv, load_libsvm, save_csv, synth_example
 from .evaluation import CRITERION_KINDS, build_report, check_taus, write_curve_csv
-from .experiment import (
-    Grid,
-    ManifestError,
-    SelectCriterion,
-    grid_search,
-    reproduce_worked_example,
-    run_manifest,
-    zero_audit,
-)
+from .experiment import ManifestError, reproduce_worked_example, run_manifest
 from .objective import ObjectiveSpec
 from .solver import AdamParams, Model, TrainConfig, train
 from .surrogate import make_loss
@@ -162,40 +154,39 @@ def cmd_reproduce(args, parser) -> int:
     return 0
 
 
+def _flag_manifest(args) -> dict:
+    """The one-entry manifest of flag-mode ``grid``; like ``train`` it drops an unused --tau."""
+    dataset = {"name": "data", "format": args.format, "path": args.data}
+    if args.format == "csv":
+        dataset.update(label=args.label, pos=args.pos)
+    method = {"method": args.method}
+    if args.tau is not None and "tau" in method_params(args.method):
+        method["tau"] = args.tau
+    swept = {name: getattr(args, name) for name in ("betas", "lambdas", "ks")}
+    return {
+        "datasets": [dataset],
+        "methods": [method],
+        "grid": {name: values for name, values in swept.items() if values},
+        "train": dataclasses.asdict(_train_config(args)),
+        "split": {"seed": args.seed},
+        "select": {"criterion": args.criterion, "tau": args.criterion_tau},
+        "criteria_taus": [],
+        "loss": args.loss,
+    }
+
+
 def cmd_grid(args, parser) -> int:
     if args.manifest:
         manifest = json.loads(Path(args.manifest).read_text())
-        try:
-            run_manifest(manifest, args.out, jobs=args.jobs)
-        except ManifestError as exc:
-            parser.error(str(exc))
-        print(f"wrote experiment outputs to {args.out}")
-        return 0
-    if not args.method or not args.data:
+    elif args.method and args.data:
+        manifest = _flag_manifest(args)
+    else:
         parser.error("grid needs either --manifest or both --method and --data")
-    # k, beta and lambda come from the grid; tau is fixed for the whole grid
-    if "tau" in method_params(args.method) and args.tau is None:
-        parser.error(f"method {args.method} requires --tau")
     try:
-        select = SelectCriterion(kind=args.criterion, tau=args.criterion_tau)
-    except ValueError as exc:
-        parser.error(f"--criterion-tau: {exc}")
-    dataset = _load_dataset(args)
-    splits = split(dataset, SplitSpec(seed=args.seed))
-    swept = {name: getattr(args, name) for name in ("betas", "lambdas", "ks")}
-    grid = Grid(**{name: tuple(values) for name, values in swept.items() if values})
-    best, records = grid_search(
-        args.method, grid, splits, _train_config(args), select,
-        tau=args.tau, loss=make_loss(args.loss), jobs=args.jobs,
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run_records.json").write_text(
-        json.dumps([r.to_dict() for r in records], indent=2)
-    )
-    audit = zero_audit(records)
-    (out / "zero_audit.json").write_text(json.dumps(audit, indent=2))
-    print(f"best point: {best.params} -> {out / 'run_records.json'}")
+        run_manifest(manifest, args.out, jobs=args.jobs)
+    except ManifestError as exc:
+        parser.error(str(exc))
+    print(f"wrote experiment outputs to {args.out}")
     return 0
 
 

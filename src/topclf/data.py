@@ -275,6 +275,18 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     return tuple(d.subset(idx) for idx in parts)
 
 
+def check_minibatches(d: Dataset, n_minibatch: int) -> None:
+    """Raise unless ``d`` deals into ``n_minibatch`` chunks that all hold both classes."""
+    if not 1 <= n_minibatch <= d.n:
+        raise ValueError(f"n_minibatch must be in [1, {d.n}], got {n_minibatch}")
+    if n_minibatch > 1 and n_minibatch > min(d.n_pos, d.n_neg):
+        raise ValueError(
+            f"n_minibatch={n_minibatch} exceeds min(n_pos, n_neg) = "
+            f"{min(d.n_pos, d.n_neg)}, so a minibatch would contain one class only; "
+            "reduce n_minibatch"
+        )
+
+
 def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list[np.ndarray]:
     """Class-stratified index partition for one epoch.
 
@@ -286,14 +298,7 @@ def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list
     positive count, so every chunk must hold both classes: more than
     min(n_pos, n_neg) chunks is an error.
     """
-    if not 1 <= n_minibatch <= d.n:
-        raise ValueError(f"n_minibatch must be in [1, {d.n}], got {n_minibatch}")
-    if n_minibatch > 1 and n_minibatch > min(d.n_pos, d.n_neg):
-        raise ValueError(
-            f"n_minibatch={n_minibatch} exceeds min(n_pos, n_neg) = "
-            f"{min(d.n_pos, d.n_neg)}, so a minibatch would contain one class only; "
-            "reduce n_minibatch"
-        )
+    check_minibatches(d, n_minibatch)
     rng = np.random.default_rng([seed, epoch])
     order = np.concatenate((rng.permutation(d.pos_idx), rng.permutation(d.neg_idx)))
     return [order[i::n_minibatch] for i in range(n_minibatch)]

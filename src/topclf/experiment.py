@@ -14,6 +14,7 @@ rank tables aggregate.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -26,12 +27,12 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import data as data_mod
-from .data import Dataset, SplitSpec, split, synth_example
+from .data import Dataset, SplitSpec, check_minibatches, split, synth_example
 from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, objective
 from .solver import AdamParams, Model, TrainConfig, train
 from .surrogate import HINGE, SurrogateLoss, make_loss
-from .threshold import RULES, method_params, rule_from_token, threshold
+from .threshold import NEGATIVE_KINDS, RULES, check_pool, method_params, rule_from_token, threshold
 
 __all__ = [
     "Grid",
@@ -98,26 +99,36 @@ def method_id(spec: ObjectiveSpec) -> str:
 
 
 def grid_points(method: str, grid: Grid) -> list[dict]:
-    """Hyperparameter dictionaries swept for ``method``."""
+    """Hyperparameter dictionaries swept for ``method``; an empty sweep raises."""
     params = method_params(method)
     if "k" in params:
-        return [{"k": k, "lambda": FIXED_LAMBDA} for k in grid.ks]
-    if "beta" in params:
-        return [{"beta": beta, "lambda": FIXED_LAMBDA} for beta in grid.betas]
-    return [{"lambda": lam} for lam in grid.lambdas]
+        points = [{"k": k, "lambda": FIXED_LAMBDA} for k in grid.ks]
+    elif "beta" in params:
+        points = [{"beta": beta, "lambda": FIXED_LAMBDA} for beta in grid.betas]
+    else:
+        points = [{"lambda": lam} for lam in grid.lambdas]
+    if not points:
+        raise ValueError(f"empty hyperparameter grid for {method}")
+    return points
 
 
-def _criterion_key(select: SelectCriterion) -> str:
-    if select.kind == "positives_at_top":
-        return select.kind
-    return f"{select.kind}@{select.tau:g}"
-
-
-def _run_point(args) -> RunRecord:
-    method, tau, loss, point, splits, cfg, taus, dataset_name = args
+def _point_rule(method: str, tau: float | None, point: dict):
     swept = {name: value for name, value in point.items() if name != "lambda"}
-    rule = rule_from_token(method, tau=tau, **swept)
-    spec = ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"])
+    return rule_from_token(method, tau=tau, **swept)
+
+
+_SPLITS: dict[str, tuple[Dataset, Dataset, Dataset]] = {}
+
+
+def _hold_splits(splits: dict[str, tuple[Dataset, Dataset, Dataset]]) -> None:
+    """Pool initializer: a worker keeps every split of the run, by dataset name."""
+    _SPLITS.update(splits)
+
+
+def _run_point(task, splits=None) -> RunRecord:
+    dataset_name, method, tau, loss, cfg, taus, point = task
+    splits = dict(zip(("train", "valid", "test"), splits or _SPLITS[dataset_name]))
+    spec = ObjectiveSpec(rule=_point_rule(method, tau, point), loss=loss, lam=point["lambda"])
     model = train(spec, splits["train"], cfg)
     zeros = np.zeros(splits["train"].m)
     return RunRecord(
@@ -134,16 +145,9 @@ def _run_point(args) -> RunRecord:
 
 
 def grid_search(
-    method: str,
-    grid: Grid,
-    splits: tuple[Dataset, Dataset, Dataset],
-    cfg: TrainConfig,
-    select: SelectCriterion,
-    tau: float | None = None,
-    loss: SurrogateLoss = HINGE,
-    dataset_name: str = "data",
-    criteria_taus=None,
-    jobs: int = 1,
+    method: str, grid: Grid, splits: tuple[Dataset, Dataset, Dataset], cfg: TrainConfig,
+    select: SelectCriterion, tau: float | None = None, loss: SurrogateLoss = HINGE,
+    dataset_name: str = "data", criteria_taus=None, pool: ProcessPoolExecutor | None = None,
 ) -> tuple[RunRecord, list[RunRecord]]:
     """Train one model per grid point of ``method`` and pick the validation winner.
 
@@ -152,24 +156,25 @@ def grid_search(
     Returns (best record, all records).  The winner maximizes the selection
     criterion on the validation split; ties go to the earlier grid point, so
     the result is a pure function of the inputs.
+
+    ``pool`` is the run's executor, whose workers hold ``splits`` under
+    ``dataset_name`` already; without one the points train in this process.
     """
-    d_train, d_valid, d_test = splits
-    named = {"train": d_train, "valid": d_valid, "test": d_test}
     points = grid_points(method, grid)
-    if not points:
-        raise ValueError("empty hyperparameter grid")
     taus = list(criteria_taus) if criteria_taus is not None else []
     if select.tau is not None and select.tau not in taus:
         taus.append(select.tau)
-    args = [(method, tau, loss, point, named, cfg, taus, dataset_name) for point in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_point, args))
+    tasks = [(dataset_name, method, tau, loss, cfg, taus, point) for point in points]
+    if pool is not None:
+        records = list(pool.map(_run_point, tasks))
     else:
-        records = [_run_point(a) for a in args]
-    key = _criterion_key(select)
+        records = [_run_point(task, splits) for task in tasks]
+    key = select.kind if select.kind == "positives_at_top" else f"{select.kind}@{select.tau:g}"
     best = max(records, key=lambda r: r.criteria["valid"][key])
     return best, records
+
+
+_AUDIT_COLUMNS = ("method", "dataset", "outcome", "n_success", "n_points")
 
 
 def zero_audit(records: list[RunRecord]) -> list[dict]:
@@ -191,15 +196,8 @@ def zero_audit(records: list[RunRecord]) -> list[dict]:
             outcome = "none"
         else:
             outcome = _describe_successes(recs, successes)
-        rows.append(
-            {
-                "method": method,
-                "dataset": dataset,
-                "outcome": outcome,
-                "n_success": len(successes),
-                "n_points": len(recs),
-            }
-        )
+        row = (method, dataset, outcome, len(successes), len(recs))
+        rows.append(dict(zip(_AUDIT_COLUMNS, row)))
     return rows
 
 
@@ -223,10 +221,8 @@ def _describe_successes(recs: list[RunRecord], successes: list[RunRecord]) -> st
     return f"{name} in {{{', '.join(f'{v:g}' for v in good)}}}"
 
 
-def rank_table(
-    winners: list[RunRecord], criteria: list[str], split_name: str = "test"
-) -> dict[str, dict[str, float]]:
-    """Average rank of each method across datasets, per criterion column.
+def rank_table(winners: list[RunRecord], criteria: list[str]) -> dict[str, dict[str, float]]:
+    """Average test-split rank of each method across datasets, per criterion column.
 
     Rank 1 is the best (largest criterion value); ties share the average of
     the ranks they span.  Every method must appear on every dataset.
@@ -243,7 +239,7 @@ def rank_table(
                 rec = by_cell.get((method, ds))
                 if rec is None:
                     raise ValueError(f"missing cell: method {method!r} on {ds!r}")
-                values.append(rec.criteria[split_name][crit])
+                values.append(rec.criteria["test"][crit])
             ranks += rankdata([-v for v in values], method="average")
         table[crit] = {m: ranks[i] / len(datasets) for i, m in enumerate(methods)}
     return table
@@ -314,22 +310,25 @@ def reproduce_worked_example(
     return rows
 
 
-_MANIFEST_KEYS = (
-    "datasets", "methods", "grid", "train", "split", "select", "criteria_taus", "loss"
-)
-# dataset format: the keys an entry of that format takes besides name and format
+_REQUIRED_KEYS = ("datasets", "methods", "select")
+_OPTIONAL_KEYS = ("grid", "train", "split", "criteria_taus", "loss")
+# dataset format: (keys an entry requires besides name, keys it may add besides format)
 _DATASET_KEYS = {
-    "synth": ("n", "seed"),
-    "csv": ("path", "label", "pos"),
-    "libsvm": ("path",),
+    "synth": (("n",), ("seed",)),
+    "csv": (("path", "label", "pos"), ()),
+    "libsvm": (("path",), ()),
 }
 
 
 class ManifestError(ValueError):
-    """A manifest key the runner does not read, or a required one left out."""
+    """An unknown or missing manifest key, an infeasible grid point or jobs < 1."""
 
 
-def _check_keys(doc: dict, allowed, where: str) -> None:
+def _check_keys(doc: dict, where: str, required, optional) -> None:
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ManifestError(f"missing manifest key {missing[0]!r} in {where}")
+    allowed = (*required, *optional)
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ManifestError(
@@ -339,7 +338,7 @@ def _check_keys(doc: dict, allowed, where: str) -> None:
 
 
 def _check_manifest(manifest: dict) -> None:
-    _check_keys(manifest, _MANIFEST_KEYS, "the manifest")
+    _check_keys(manifest, "the manifest", _REQUIRED_KEYS, _OPTIONAL_KEYS)
     train = manifest.get("train", {})
     # sections that load with cls(**doc) take exactly the dataclass fields
     for where, doc, cls in (
@@ -348,17 +347,21 @@ def _check_manifest(manifest: dict) -> None:
         ("train.adam", train.get("adam", {}), AdamParams),
         ("split", manifest.get("split", {}), SplitSpec),
     ):
-        _check_keys(doc, [f.name for f in dataclasses.fields(cls)], where)
-    _check_keys(manifest["select"], ("criterion", "tau"), "select")
+        _check_keys(doc, where, (), [f.name for f in dataclasses.fields(cls)])
+    _check_keys(manifest["select"], "select", (), ("criterion", "tau"))
+    names = [entry.get("name") for entry in manifest["datasets"]]
     for i, entry in enumerate(manifest["datasets"]):
         fmt = entry.get("format", "csv")
         if fmt not in _DATASET_KEYS:
             raise ManifestError(f"unknown dataset format {fmt!r} in datasets[{i}]")
-        _check_keys(entry, ("name", "format", *_DATASET_KEYS[fmt]), f"datasets[{i}]")
+        required, optional = _DATASET_KEYS[fmt]
+        _check_keys(entry, f"datasets[{i}]", ("name", *required), ("format", *optional))
+        if entry["name"] in names[:i]:
+            raise ManifestError(f"datasets[{i}]: dataset name {entry['name']!r} is taken")
     for i, entry in enumerate(manifest["methods"]):
         # k and beta are swept by the grid; tau fixes the method instance
-        takes_tau = "tau" in method_params(entry["method"])
-        _check_keys(entry, ("method", "tau") if takes_tau else ("method",), f"methods[{i}]")
+        takes_tau = "method" in entry and "tau" in method_params(entry["method"])
+        _check_keys(entry, f"methods[{i}]", ("method",), ("tau",) if takes_tau else ())
         if takes_tau and "tau" not in entry:
             raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
 
@@ -372,15 +375,39 @@ def _load_manifest_dataset(entry: dict) -> Dataset:
     return data_mod.load_libsvm(entry["path"])
 
 
+def _check_feasible(name: str, d_train: Dataset, methods, grid: Grid, n_minibatch: int) -> None:
+    """Reject a grid point that the training split ``d_train`` cannot support.
+
+    A threshold sees one minibatch, which holds at least floor(n / B) samples
+    and floor(n_neg / B) negatives.
+    """
+    part = f"smallest of {n_minibatch} minibatches" if n_minibatch > 1 else "whole"
+    for entry in methods:
+        try:
+            check_minibatches(d_train, n_minibatch)
+            for point in grid_points(entry["method"], grid):
+                rule = _point_rule(entry["method"], entry.get("tau"), point)
+                pool = d_train.n_neg if rule.kind in NEGATIVE_KINDS else d_train.n
+                check_pool(rule, pool // n_minibatch)
+        except ValueError as exc:
+            raise ManifestError(
+                f"dataset {name!r}, method {entry['method']}, training split ({part}): {exc}"
+            ) from None
+
+
 def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     """Execute a JSON experiment manifest and write its artifact files.
 
     The manifest lists datasets, method instances, grid overrides, the train
-    configuration, split fractions and the selection criterion.  A key the
-    runner does not read raises :class:`ManifestError` before any work
-    starts.  Outputs in ``out_dir``: run_records.json, rank_table.csv,
-    zero_audit.csv and timing.csv.
+    configuration, split fractions and the selection criterion.  An unknown
+    or missing key raises :class:`ManifestError` before any data is loaded,
+    and a grid point some training split cannot support before any training.
+    ``jobs`` > 1 trains on one pool whose workers each get every split once.
+    Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
+    and timing.csv.
     """
+    if jobs < 1:
+        raise ManifestError(f"jobs must be at least 1, got {jobs}")
     _check_manifest(manifest)
     grid = Grid(**manifest.get("grid", {}))
     cfg = TrainConfig(**manifest.get("train", {}))
@@ -394,70 +421,44 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     except ValueError as exc:
         raise ManifestError(f"invalid selection criterion or criteria_taus: {exc}") from None
     loss = make_loss(manifest.get("loss", "hinge"))
+    splits = {}
+    for entry in manifest["datasets"]:
+        splits[entry["name"]] = parts = split(_load_manifest_dataset(entry), spec_split)
+        _check_feasible(entry["name"], parts[0], manifest["methods"], grid, cfg.n_minibatch)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     winners: list[RunRecord] = []
     all_records: list[RunRecord] = []
-    timing_rows: list[dict] = []
-    for ds_entry in manifest["datasets"]:
-        name = ds_entry["name"]
-        splits = split(_load_manifest_dataset(ds_entry), spec_split)
-        for m_entry in manifest["methods"]:
-            best, records = grid_search(
-                m_entry["method"],
-                grid,
-                splits,
-                cfg,
-                select,
-                tau=m_entry.get("tau"),
-                loss=loss,
-                dataset_name=name,
-                criteria_taus=criteria_taus,
-                jobs=jobs,
-            )
-            winners.append(best)
-            all_records.extend(records)
-            timing_rows.append(
-                {
-                    "method": best.method,
-                    "dataset": name,
-                    "ms_per_iter": best.ms_per_iter,
-                }
-            )
+    with (
+        ProcessPoolExecutor(max_workers=jobs, initializer=_hold_splits, initargs=(splits,))
+        if jobs > 1
+        else contextlib.nullcontext()
+    ) as pool:
+        for name, parts in splits.items():
+            for m_entry in manifest["methods"]:
+                best, records = grid_search(
+                    m_entry["method"], grid, parts, cfg, select, tau=m_entry.get("tau"),
+                    loss=loss, dataset_name=name, criteria_taus=criteria_taus, pool=pool,
+                )
+                winners.append(best)
+                all_records.extend(records)
 
-    (out / "run_records.json").write_text(
-        json.dumps([r.to_dict() for r in all_records], indent=2)
-    )
+    records_doc = json.dumps([r.to_dict() for r in all_records], indent=2)
+    (out / "run_records.json").write_text(records_doc)
     criteria_keys = sorted(winners[0].criteria["test"]) if winners else []
     ranks = rank_table(winners, criteria_keys)
-    _write_rank_csv(ranks, out / "rank_table.csv")
-    _write_rows_csv(
-        zero_audit(all_records),
-        out / "zero_audit.csv",
-        ["method", "dataset", "outcome", "n_success", "n_points"],
-    )
-    _write_rows_csv(timing_rows, out / "timing.csv", ["method", "dataset", "ms_per_iter"])
-    return {
-        "winners": winners,
-        "records": all_records,
-        "rank_table": ranks,
-    }
+    methods = sorted({r.method for r in winners})
+    rank_rows = [{"method": m, **{c: f"{ranks[c][m]:.2f}" for c in ranks}} for m in methods]
+    _write_rows_csv(rank_rows, out / "rank_table.csv", ["method", *ranks])
+    _write_rows_csv(zero_audit(all_records), out / "zero_audit.csv", _AUDIT_COLUMNS)
+    timing_columns = ["method", "dataset", "ms_per_iter"]
+    _write_rows_csv([vars(r) for r in winners], out / "timing.csv", timing_columns)
+    return {"winners": winners, "records": all_records, "rank_table": ranks}
 
 
-def _write_rank_csv(ranks: dict[str, dict[str, float]], path: Path) -> None:
-    criteria = list(ranks)
-    methods = sorted({m for col in ranks.values() for m in col})
+def _write_rows_csv(rows: list[dict], path: Path, columns) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method"] + criteria)
-        for m in methods:
-            writer.writerow([m] + [f"{ranks[c][m]:.2f}" for c in criteria])
-
-
-def _write_rows_csv(rows: list[dict], path: Path, columns: list[str]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)

@@ -67,6 +67,8 @@ CLI_TOKENS = {token: kind for kind, (token, _, _) in RULES.items()}
 NEGATIVE_KINDS = frozenset(kind for kind, (_, _, neg) in RULES.items() if neg)
 TOP_K_KINDS = frozenset({"top_push", "top_push_k", "top_mean", "top_mean_np"})
 QUANTILE_KINDS = frozenset({"quantile", "quantile_np"})
+# the rules that take the ceil(tau * pool)-th largest score
+TAU_POOL_KINDS = QUANTILE_KINDS | {"top_mean", "top_mean_np"}
 
 # parameter: (valid value, what the error asks for)
 _PARAM_CHECKS = {
@@ -261,23 +263,18 @@ def threshold_scored(
     else:
         sel = None
         zsel = z
-    if zsel.size == 0:
-        raise ValueError(f"{kind} needs at least one sample in its score pool")
+    check_pool(rule, zsel.size)
 
     if kind in TOP_K_KINDS:
         if kind == "top_push":
             k = 1
         elif kind == "top_push_k":
             k = rule.k
-            if k > d.n_neg:
-                raise ValueError(f"k={k} exceeds the {d.n_neg} negative samples")
         else:
-            _check_tau_pool(rule.tau, zsel.size, kind)
             k = math.ceil(rule.tau * zsel.size)
         t, local = top_k_mean(zsel, k)
         weights = np.full(k, 1.0 / k)
     elif kind in QUANTILE_KINDS:
-        _check_tau_pool(rule.tau, zsel.size, kind)
         t = exact_quantile(zsel, rule.tau)
         # gradient treated as zero: t is recomputed after every step
         local = np.flatnonzero(zsel == t)
@@ -297,8 +294,13 @@ def threshold_scored(
     return ThresholdResult(t=float(t), support=support, weights=weights)
 
 
-def _check_tau_pool(tau: float, pool_size: int, kind: str) -> None:
-    if tau * pool_size < 1.0:
+def check_pool(rule: ThresholdRule, pool_size: int) -> None:
+    """Raise unless ``rule`` can pick a threshold from a pool of ``pool_size`` scores."""
+    if pool_size == 0:
+        raise ValueError(f"{rule.kind} needs at least one sample in its score pool")
+    if rule.kind == "top_push_k" and rule.k > pool_size:
+        raise ValueError(f"k={rule.k} exceeds the {pool_size} negative samples")
+    if rule.kind in TAU_POOL_KINDS and rule.tau * pool_size < 1.0:
         raise ValueError(
-            f"{kind} needs tau * pool >= 1; got tau={tau} over {pool_size} samples"
+            f"{rule.kind} needs tau * pool >= 1; got tau={rule.tau} over {pool_size} samples"
         )

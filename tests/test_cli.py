@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from test_experiment import GRID_ARTIFACTS, grid_artifacts
 
 from topclf.cli import main
 from topclf.data import Dataset, save_csv
@@ -155,6 +156,47 @@ class TestGrid:
         records = json.loads((out / "run_records.json").read_text())
         assert len(records) == 1
         assert records[0]["params"] == {"lambda": 0.001}
+        assert sorted(p.name for p in out.iterdir()) == sorted(GRID_ARTIFACTS)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_flag_mode_is_a_one_entry_manifest(self, data_csv, tmp_path, jobs):
+        code = run(
+            "grid", "--method", "patmat", "--tau", 0.1, "--betas", 0.1, 1, "--data", data_csv,
+            "--iters", 15, "--seed", 3, "--step-size", 0.05, "--criterion", "positives_at_np",
+            "--criterion-tau", 0.2, "--jobs", jobs, "--out", tmp_path / "flags",
+        )
+        assert code == 0
+        manifest = {
+            "datasets": [
+                {"name": "data", "format": "csv", "path": str(data_csv), "label": "label", "pos": "1"}
+            ],
+            "methods": [{"method": "patmat", "tau": 0.1}],
+            "grid": {"betas": [0.1, 1.0]},
+            "train": {"iterations": 15, "seed": 3, "adam": {"step_size": 0.05}},
+            "split": {"seed": 3},
+            "select": {"criterion": "positives_at_np", "tau": 0.2},
+            "criteria_taus": [],
+        }
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        assert run("grid", "--manifest", mpath, "--out", tmp_path / "manifest") == 0
+        assert grid_artifacts(tmp_path / "flags") == grid_artifacts(tmp_path / "manifest")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("mode", ["flags", "manifest"])
+    def test_jobs_below_one_is_usage_error(self, data_csv, tmp_path, capsys, jobs, mode):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
+            "methods": [{"method": "toppush"}],
+            "select": {"criterion": "positives_at_top"},
+        }))
+        source = ["--manifest", mpath] if mode == "manifest" else ["--method", "toppush", "--data", data_csv]
+        with pytest.raises(SystemExit) as exc:
+            run("grid", *source, "--jobs", jobs, "--out", tmp_path / "g")
+        assert exc.value.code == 2
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_manifest_mode(self, tmp_path):
         manifest = {
@@ -185,6 +227,33 @@ class TestGrid:
             run("grid", "--manifest", mpath, "--out", tmp_path / "exp")
         assert exc.value.code == 2
         assert "'iteratons'" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("select"), "missing manifest key 'select'"),
+            (lambda m: m["datasets"][0].pop("n"), "missing manifest key 'n'"),
+            (lambda m: m["methods"][0].pop("method"), "missing manifest key 'method'"),
+            (lambda m: m["methods"].append({"method": "toppushk"}), "k=15 exceeds"),
+        ],
+        ids=["select", "n", "method", "infeasible-k"],
+    )
+    def test_missing_key_or_infeasible_point_is_usage_error(
+        self, tmp_path, capsys, edit, message
+    ):
+        manifest = {
+            "datasets": [{"name": "synth", "format": "synth", "n": 20, "seed": 1}],
+            "methods": [{"method": "toppush"}],
+            "select": {"criterion": "positives_at_top"},
+        }
+        edit(manifest)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "exp")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--beta", "--lambda"])

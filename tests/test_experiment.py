@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from topclf import experiment
 from topclf.data import Dataset, SplitSpec, save_csv, split, synth_example
 from topclf.experiment import (
     FIXED_LAMBDA,
@@ -23,6 +25,19 @@ from topclf.experiment import (
 from topclf.objective import ObjectiveSpec
 from topclf.solver import TrainConfig
 from topclf.threshold import rule_from_token
+
+
+GRID_ARTIFACTS = ("run_records.json", "rank_table.csv", "zero_audit.csv", "timing.csv")
+
+
+def grid_artifacts(out: Path) -> dict[str, bytes]:
+    """The four grid artifacts in ``out``, with the measured wall times masked."""
+    files = {name: (out / name).read_bytes() for name in GRID_ARTIFACTS}
+    files["run_records.json"] = re.sub(
+        rb'"ms_per_iter": [^,\n]+', b'"ms_per_iter": 0', files["run_records.json"]
+    )
+    files["timing.csv"] = re.sub(rb",[^,\r\n]+\r\n", b",0\r\n", files["timing.csv"])
+    return files
 
 
 def template(token, tau=0.2, beta=1.0, k=1):
@@ -125,18 +140,16 @@ class TestGridSearch:
             assert a.f_final == b.f_final
             assert a.criteria == b.criteria
 
-    def test_worker_pool_matches_sequential(self, splits):
-        grid = Grid(betas=(0.01, 1.0))
-        cfg = TrainConfig(iterations=25, seed=0)
-        select = SelectCriterion("positives_at_quantile", tau=0.2)
-        best_seq, rec_seq = grid_search("patmat", grid, splits, cfg, select, tau=0.2)
-        best_par, rec_par = grid_search(
-            "patmat", grid, splits, cfg, select, tau=0.2, jobs=2
-        )
-        assert best_seq.params == best_par.params
-        for a, b in zip(rec_seq, rec_par):
-            assert a.f_final == b.f_final
-            assert a.criteria == b.criteria
+    def test_worker_pool_matches_sequential(self, tmp_path):
+        # one pool serves every (dataset, method) pair of the run
+        manifest = small_manifest()
+        manifest["datasets"].append({"name": "other", "format": "synth", "n": 50, "seed": 2})
+        manifest["grid"].update(betas=[0.01, 1.0], ks=[1, 2])
+        manifest["train"]["iterations"] = 25
+        outs = [tmp_path / "jobs1", tmp_path / "jobs2"]
+        run_manifest(manifest, outs[0], jobs=1)
+        run_manifest(manifest, outs[1], jobs=2)
+        assert grid_artifacts(outs[0]) == grid_artifacts(outs[1])
 
 
 class TestZeroAudit:
@@ -319,6 +332,10 @@ class TestRunManifest:
         assert records[0] == records[1]
 
 
+CSV_ENTRY = {"name": "c", "format": "csv", "path": "c.csv", "label": "y", "pos": "1"}
+LIBSVM_ENTRY = {"name": "l", "format": "libsvm", "path": "l.svm"}
+
+
 def small_manifest():
     return {
         "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
@@ -357,6 +374,39 @@ class TestManifestKeys:
         with pytest.raises(ManifestError, match=f"'{key}'"):
             run_manifest(manifest, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "dataset, path, key",
+        [
+            (None, (), "datasets"),
+            (None, (), "methods"),
+            (None, (), "select"),
+            (None, ("methods", 0), "method"),
+            (None, ("datasets", 0), "name"),
+            (None, ("datasets", 0), "n"),
+            (CSV_ENTRY, ("datasets", 0), "path"),
+            (CSV_ENTRY, ("datasets", 0), "label"),
+            (CSV_ENTRY, ("datasets", 0), "pos"),
+            (LIBSVM_ENTRY, ("datasets", 0), "path"),
+        ],
+    )
+    def test_missing_key_rejected_before_any_work(self, tmp_path, dataset, path, key):
+        manifest = small_manifest()
+        if dataset is not None:
+            manifest["datasets"] = [dict(dataset)]
+        doc = manifest
+        for step in path:
+            doc = doc[step]
+        del doc[key]
+        with pytest.raises(ManifestError, match=f"missing manifest key '{key}'"):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_dataset_name_rejected(self, tmp_path):
+        manifest = small_manifest()
+        manifest["datasets"].append(dict(manifest["datasets"][0], seed=2))
+        with pytest.raises(ManifestError, match="'synth' is taken"):
+            run_manifest(manifest, tmp_path / "out")
 
     def test_missing_tau_rejected(self, tmp_path):
         manifest = small_manifest()
@@ -400,6 +450,68 @@ class TestManifestKeys:
         manifest["train"]["iterations"] = 3
         run_manifest(manifest, tmp_path / "out")
         assert (tmp_path / "out" / "rank_table.csv").exists()
+
+
+class TestFeasibility:
+    """Grid points a training split cannot support stop the run before training."""
+
+    @pytest.fixture()
+    def no_training(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a grid point was trained")
+
+        monkeypatch.setattr(experiment, "train", fail)
+
+    def manifest(self, methods, grid, n_minibatch=1):
+        # 41 samples; the training split holds 10 positives and 11 negatives
+        return {
+            "datasets": [{"name": "tiny", "format": "synth", "n": 20, "seed": 0}],
+            "methods": methods,
+            "grid": grid,
+            "train": {"iterations": 5, "n_minibatch": n_minibatch},
+            "select": {"criterion": "positives_at_top"},
+        }
+
+    @pytest.mark.parametrize(
+        "methods, grid, n_minibatch, message",
+        [
+            # every toppush point used to train before toppushk failed
+            ([{"method": "toppush"}, {"method": "toppushk"}], {}, 1,
+             r"method toppushk, training split \(whole\): k=15 exceeds the 11 negative"),
+            ([{"method": "topmean-np", "tau": 0.05}], {}, 1, "tau=0.05 over 11 samples"),
+            ([{"method": "grill", "tau": 0.04}], {}, 1, "tau=0.04 over 21 samples"),
+            ([{"method": "toppush"}], {}, 11, "n_minibatch=11 exceeds min"),
+            # the smallest of 4 chunks holds floor(11 / 4) = 2 negatives
+            ([{"method": "toppushk"}], {"ks": [2, 3]}, 4,
+             r"smallest of 4 minibatches\): k=3 exceeds the 2 negative"),
+            ([{"method": "grill", "tau": 0.15}], {}, 4, "tau=0.15 over 5 samples"),
+            ([{"method": "patmat", "tau": 1.5}], {"betas": [1.0]}, 1, "method patmat.*tau in"),
+            ([{"method": "toppushk"}], {"ks": [0]}, 1, "positive integer k"),
+            ([{"method": "toppush"}, {"method": "toppushk"}], {"ks": []}, 1,
+             "empty hyperparameter grid for toppushk"),
+        ],
+    )
+    def test_infeasible_point_rejected_before_training(
+        self, tmp_path, no_training, methods, grid, n_minibatch, message
+    ):
+        manifest = self.manifest(methods, grid, n_minibatch)
+        with pytest.raises(ManifestError, match=f"dataset 'tiny', .*{message}"):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "methods, grid, n_minibatch",
+        [
+            ([{"method": "toppushk"}], {"ks": [11]}, 1),
+            ([{"method": "topmean-np", "tau": 0.1}], {}, 1),
+            ([{"method": "toppushk"}], {"ks": [2]}, 4),
+            ([{"method": "grill-np", "tau": 0.5}], {}, 4),
+            ([{"method": "patmat", "tau": 0.01}], {"betas": [1.0]}, 10),
+        ],
+    )
+    def test_feasible_edge_runs(self, tmp_path, methods, grid, n_minibatch):
+        run_manifest(self.manifest(methods, grid, n_minibatch), tmp_path / "out")
+        assert (tmp_path / "out" / "run_records.json").exists()
 
 
 class TestMethodId:
