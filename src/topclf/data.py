@@ -18,6 +18,7 @@ __all__ = [
     "load_libsvm",
     "split",
     "minibatch_epoch",
+    "minibatches",
     "synth_example",
 ]
 
@@ -29,13 +30,18 @@ class Dataset:
     ``features`` is an (n, m) float array, ``labels`` a boolean vector where
     True marks a positive sample.  Index partitions and counts are derived at
     construction and the underlying arrays are locked read-only, so a Dataset
-    can be shared freely across workers.
+    can be shared freely across workers.  ``pos_rows`` and ``neg_rows`` select
+    the same rows as ``pos_idx`` and ``neg_idx``, as a slice when the class
+    occupies one contiguous block (as in every minibatch), so that indexing
+    with them takes a view instead of a copy.
     """
 
     features: np.ndarray
     labels: np.ndarray
     pos_idx: np.ndarray = field(init=False)
     neg_idx: np.ndarray = field(init=False)
+    pos_rows: slice | np.ndarray = field(init=False)
+    neg_rows: slice | np.ndarray = field(init=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -58,6 +64,8 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "pos_idx", pos_idx)
         object.__setattr__(self, "neg_idx", neg_idx)
+        object.__setattr__(self, "pos_rows", _as_block(pos_idx))
+        object.__setattr__(self, "neg_rows", _as_block(neg_idx))
 
     @property
     def n(self) -> int:
@@ -87,6 +95,13 @@ class Dataset:
                 f"need at least one positive and one negative sample, "
                 f"got n_pos={self.n_pos}, n_neg={self.n_neg}"
             )
+
+
+def _as_block(idx: np.ndarray) -> slice | np.ndarray:
+    """``idx`` as a slice if it is one run of consecutive indices."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -302,6 +317,24 @@ def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list
     rng = np.random.default_rng([seed, epoch])
     order = np.concatenate((rng.permutation(d.pos_idx), rng.permutation(d.neg_idx)))
     return [order[i::n_minibatch] for i in range(n_minibatch)]
+
+
+def minibatches(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list[Dataset]:
+    """The chunks of :func:`minibatch_epoch` as Datasets, rows in chunk order.
+
+    The epoch's rows are gathered in one copy and each minibatch is a view of
+    its contiguous block.  Each chunk lists its positives before its
+    negatives, so both classes are contiguous row blocks of the batch.
+    """
+    chunks = minibatch_epoch(d, n_minibatch, seed, epoch)
+    rows = np.concatenate(chunks)
+    # np.take copies whole rows faster than fancy indexing
+    features, labels = np.take(d.features, rows, axis=0), d.labels[rows]
+    ends = np.cumsum([chunk.size for chunk in chunks])
+    return [
+        Dataset(features[end - chunk.size : end], labels[end - chunk.size : end])
+        for chunk, end in zip(chunks, ends)
+    ]
 
 
 def synth_example(n: int, seed: int = 0) -> Dataset:

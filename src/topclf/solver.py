@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, minibatch_epoch
+from .data import Dataset, minibatches
 from .objective import ObjectiveSpec, evaluate
 from .surrogate import make_loss
 from .threshold import QUANTILE_KINDS, ThresholdRule, threshold
@@ -182,7 +182,6 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
     norm_trace = np.empty(cfg.iterations)
     ms_trace = np.empty(cfg.iterations)
 
-    batches: list[np.ndarray] = []
     batch_data: list[Dataset] = []
     for it in range(cfg.iterations):
         tic = time.perf_counter()
@@ -192,8 +191,7 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
             pos = it % cfg.n_minibatch
             if pos == 0:
                 epoch = it // cfg.n_minibatch
-                batches = minibatch_epoch(d_train, cfg.n_minibatch, cfg.seed, epoch)
-                batch_data = [d_train.subset(idx) for idx in batches]
+                batch_data = minibatches(d_train, cfg.n_minibatch, cfg.seed, epoch)
             batch = batch_data[pos]
         value, grad, _ = evaluate(spec, w, batch)
         if not np.isfinite(value):

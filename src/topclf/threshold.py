@@ -259,7 +259,7 @@ def threshold_scored(
     kind = rule.kind
     if kind in NEGATIVE_KINDS:
         sel = d.neg_idx
-        zsel = z[sel]
+        zsel = z[d.neg_rows]
     else:
         sel = None
         zsel = z

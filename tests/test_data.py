@@ -7,6 +7,7 @@ from topclf.data import (
     load_csv,
     load_libsvm,
     minibatch_epoch,
+    minibatches,
     save_csv,
     split,
     synth_example,
@@ -38,6 +39,15 @@ class TestDataset:
         sub = d.subset(np.array([4, 0]))
         assert sub.labels.tolist() == [False, True]
         assert sub.features[0].tolist() == [8.0, 9.0]
+
+    def test_class_rows_are_slices_for_class_blocks(self):
+        d = Dataset(np.zeros((5, 1)), [True, True, False, False, False])
+        assert (d.pos_rows, d.neg_rows) == (slice(0, 2), slice(2, 5))
+
+    def test_class_rows_are_indices_when_interleaved(self):
+        d = Dataset(np.zeros((4, 1)), [True, False, True, False])
+        assert d.pos_rows.tolist() == [0, 2]
+        assert d.neg_rows.tolist() == [1, 3]
 
 
 class TestLoadCsv:
@@ -205,6 +215,18 @@ class TestMinibatches:
         e1 = minibatch_epoch(d, 2, seed=9, epoch=1)
         assert all(np.array_equal(a, b) for a, b in zip(e0a, e0b))
         assert not all(np.array_equal(a, b) for a, b in zip(e0a, e1))
+
+    def test_batches_match_chunk_subsets(self):
+        d = self.balanced(11)
+        chunks = minibatch_epoch(d, 3, seed=4, epoch=2)
+        batches = minibatches(d, 3, seed=4, epoch=2)
+        for chunk, batch in zip(chunks, batches, strict=True):
+            sub = d.subset(chunk)
+            assert np.array_equal(batch.features, sub.features)
+            assert np.array_equal(batch.labels, sub.labels)
+            assert batch.pos_rows == slice(0, sub.n_pos)
+            assert batch.neg_rows == slice(sub.n_pos, sub.n)
+            assert not batch.features.flags.writeable
 
 
 class TestSynthExample:
