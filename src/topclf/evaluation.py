@@ -2,6 +2,8 @@
 
 A sample is predicted positive iff its score is >= the threshold; ties sit
 on the positive side by convention, and their count is tracked in ``q``.
+Each public function of the weights scores the data and calls its helper
+on the score vector; ``build_report`` scores once and calls the helpers.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ class EvalReport:
 
 def counts(w: np.ndarray, t: float, d: Dataset) -> Counts:
     """Exact 0-1 confusion counts of the classifier sign(w.x - t)."""
-    z = scores(w, d)
+    return _counts(scores(w, d), t, d)
+
+
+def _counts(z: np.ndarray, t: float, d: Dataset) -> Counts:
     zp, zn = z[d.pos_idx], z[d.neg_idx]
     tp = int(np.count_nonzero(zp >= t))
     fp = int(np.count_nonzero(zn >= t))
@@ -107,12 +112,13 @@ def ptau_curve(
     w: np.ndarray, d: Dataset, taus
 ) -> list[tuple[float, float]]:
     """Precision at the top tau-quantile threshold, per requested tau."""
-    taus = check_taus(taus)
-    z = scores(w, d)
+    return _ptau_curve(scores(w, d), d, taus)
+
+
+def _ptau_curve(z: np.ndarray, d: Dataset, taus) -> list[tuple[float, float]]:
     points = []
-    for tau in taus:
-        t = exact_quantile(z, tau)
-        precision, _ = precision_recall(counts(w, t, d))
+    for tau in check_taus(taus):
+        precision, _ = precision_recall(_counts(z, exact_quantile(z, tau), d))
         points.append((tau, precision))
     return points
 
@@ -125,7 +131,10 @@ def pr_curve(w: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
     increasing.  One descending sort gives the counts at every threshold:
     predicted positives at a score are all samples up to the last of its ties.
     """
-    z = scores(w, d)
+    return _pr_curve(scores(w, d), d)
+
+
+def _pr_curve(z: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
     order = np.argsort(-z, kind="stable")
     z = z[order]
     last = np.flatnonzero(np.append(z[1:] != z[:-1], True))
@@ -147,10 +156,13 @@ def criterion(
     ``positives_at_quantile`` the top tau-quantile of all scores and
     ``positives_at_np`` the top tau-quantile of the negative scores.
     """
+    return _criterion(kind, scores(w, d), d, tau)
+
+
+def _criterion(kind: str, z: np.ndarray, d: Dataset, tau: float | None = None) -> float:
     check_criterion(kind, tau)
     if d.n_pos == 0:
         raise ValueError("criterion undefined without positive samples")
-    z = scores(w, d)
     if kind == "positives_at_top":
         if d.n_neg == 0:
             raise ValueError("positives_at_top undefined without negative samples")
@@ -165,29 +177,32 @@ def criterion(
 
 def criteria_table(w: np.ndarray, d: Dataset, taus) -> dict[str, float]:
     """Every criterion of ``w`` on ``d``: top, then both quantiles per tau."""
-    crits = {"positives_at_top": criterion("positives_at_top", w, d)}
+    return _criteria_table(scores(w, d), d, taus)
+
+
+def _criteria_table(z: np.ndarray, d: Dataset, taus) -> dict[str, float]:
+    crits = {"positives_at_top": _criterion("positives_at_top", z, d)}
     for tau in taus:
-        crits[f"positives_at_quantile@{tau:g}"] = criterion(
-            "positives_at_quantile", w, d, tau
-        )
-        crits[f"positives_at_np@{tau:g}"] = criterion("positives_at_np", w, d, tau)
+        crits[f"positives_at_quantile@{tau:g}"] = _criterion("positives_at_quantile", z, d, tau)
+        crits[f"positives_at_np@{tau:g}"] = _criterion("positives_at_np", z, d, tau)
     return crits
 
 
 def build_report(
     w: np.ndarray, t: float, d: Dataset, taus
 ) -> EvalReport:
-    """Full evaluation of weights ``w`` at decision threshold ``t``."""
-    c = counts(w, t, d)
+    """Full evaluation of weights ``w`` at decision threshold ``t``, from one score pass."""
+    z = scores(w, d)
+    c = _counts(z, t, d)
     precision, recall = precision_recall(c)
-    crits = criteria_table(w, d, taus)
+    crits = _criteria_table(z, d, taus)
     return EvalReport(
         counts=c,
         threshold=t,
         precision=precision,
         recall=recall,
-        pr_curve=pr_curve(w, d),
-        ptau_curve=ptau_curve(w, d, sorted(taus)),
+        pr_curve=_pr_curve(z, d),
+        ptau_curve=_ptau_curve(z, d, sorted(taus)),
         criteria=crits,
     )
 

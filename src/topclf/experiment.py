@@ -321,7 +321,7 @@ _DATASET_KEYS = {
 
 
 class ManifestError(ValueError):
-    """An unknown or missing manifest key, an infeasible grid point or jobs < 1."""
+    """A bad manifest key or value, an infeasible grid point or jobs < 1."""
 
 
 def _check_keys(doc: dict, where: str, required, optional) -> None:
@@ -359,8 +359,12 @@ def _check_manifest(manifest: dict) -> None:
         if entry["name"] in names[:i]:
             raise ManifestError(f"datasets[{i}]: dataset name {entry['name']!r} is taken")
     for i, entry in enumerate(manifest["methods"]):
+        try:
+            params = method_params(entry["method"]) if "method" in entry else ()
+        except ValueError as exc:
+            raise ManifestError(f"methods[{i}]: {exc}") from None
         # k and beta are swept by the grid; tau fixes the method instance
-        takes_tau = "method" in entry and "tau" in method_params(entry["method"])
+        takes_tau = "tau" in params
         _check_keys(entry, f"methods[{i}]", ("method",), ("tau",) if takes_tau else ())
         if takes_tau and "tau" not in entry:
             raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
@@ -400,8 +404,9 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
 
     The manifest lists datasets, method instances, grid overrides, the train
     configuration, split fractions and the selection criterion.  An unknown
-    or missing key raises :class:`ManifestError` before any data is loaded,
-    and a grid point some training split cannot support before any training.
+    or missing key or a bad value raises :class:`ManifestError` before any
+    data is loaded, and a grid point some training split cannot support
+    before any training.
     ``jobs`` > 1 trains on one pool whose workers each get every split once.
     Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
     and timing.csv.
@@ -409,18 +414,18 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     if jobs < 1:
         raise ManifestError(f"jobs must be at least 1, got {jobs}")
     _check_manifest(manifest)
-    grid = Grid(**manifest.get("grid", {}))
-    cfg = TrainConfig(**manifest.get("train", {}))
-    spec_split = SplitSpec(**manifest.get("split", {}))
     select_doc = manifest["select"]
     criteria_taus = manifest.get("criteria_taus", [0.01, 0.03])
     try:
+        grid = Grid(**manifest.get("grid", {}))
+        cfg = TrainConfig(**manifest.get("train", {}))
+        spec_split = SplitSpec(**manifest.get("split", {}))
+        loss = make_loss(manifest.get("loss", "hinge"))
         select = SelectCriterion(kind=select_doc.get("criterion"), tau=select_doc.get("tau"))
         for tau in criteria_taus:
             check_taus([tau])
-    except ValueError as exc:
-        raise ManifestError(f"invalid selection criterion or criteria_taus: {exc}") from None
-    loss = make_loss(manifest.get("loss", "hinge"))
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"invalid manifest value: {exc}") from None
     splits = {}
     for entry in manifest["datasets"]:
         splits[entry["name"]] = parts = split(_load_manifest_dataset(entry), spec_split)

@@ -115,6 +115,17 @@ class TestEval:
         code = run("eval", "--model", model, "--data", other, "--out", tmp_path / "e2")
         assert code == 1
 
+    def test_bad_cell_names_its_line(self, data_csv, tmp_path, capsys):
+        model = self.fit(data_csv, tmp_path)
+        lines = data_csv.read_text().splitlines()
+        lines[2] = "foo" + lines[2][lines[2].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("eval", "--model", model, "--data", bad, "--out", tmp_path / "e")
+        assert code == 1
+        assert f"{bad}:3: non-numeric feature cell" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("command", ["eval", "curve"])
     @pytest.mark.parametrize("taus", ["abc", "0.5,0.5", "0,0.1", "1.5", ","])
     def test_bad_taus_are_usage_errors(self, data_csv, tmp_path, capsys, command, taus):
@@ -244,6 +255,32 @@ class TestGrid:
     ):
         manifest = {
             "datasets": [{"name": "synth", "format": "synth", "n": 20, "seed": 1}],
+            "methods": [{"method": "toppush"}],
+            "select": {"criterion": "positives_at_top"},
+        }
+        edit(manifest)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "exp")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["methods"].append({"method": "svm"}), "unknown method 'svm'"),
+            (lambda m: m.update(train={"iterations": 0}), "iterations must be positive"),
+            (lambda m: m.update(split={"train_frac": 0.9}), "fractions must sum to 1"),
+            (lambda m: m.update(loss="square"), "unknown surrogate loss 'square'"),
+        ],
+        ids=["method", "train", "split", "loss"],
+    )
+    def test_bad_manifest_value_is_usage_error(self, tmp_path, capsys, edit, message):
+        manifest = {
+            "datasets": [{"name": "gone", "path": str(tmp_path / "missing.csv"),
+                          "label": "y", "pos": "1"}],
             "methods": [{"method": "toppush"}],
             "select": {"criterion": "positives_at_top"},
         }

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -254,3 +257,166 @@ class TestSynthExample:
         b = synth_example(1, seed=42)
         assert a.n == 3
         assert np.array_equal(a.features, b.features)
+
+
+def csv_oracle(path, label_column, positive_value):
+    """Plain csv-module reading of the loader's contract: (features, labels) or the error text."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    label_pos = header.index(label_column)
+    features, tokens = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            return f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+        try:
+            values = [float(cell) for i, cell in enumerate(row) if i != label_pos]
+        except ValueError:
+            return f"{path}:{lineno}: non-numeric feature cell"
+        if not np.isfinite(values).all():
+            return f"{path}:{lineno}: non-finite feature value"
+        features.append(values)
+        tokens.append(row[label_pos].strip())
+    if len(set(tokens)) > 2:
+        return "distinct"
+    return np.array(features, dtype=np.float64), np.array([t == positive_value for t in tokens])
+
+
+class TestCsvContract:
+    """The CSV contract of load_csv, pinned cell by cell."""
+
+    def error(self, path, label="y", pos="1"):
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, label, pos)
+        return str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("a,b,y\n1,2,1\n3,4\n", 3, "expected 3 cells, got 2"),
+            ("a,b,y\n1,2,1\n3,4,5,0\n", 3, "expected 3 cells, got 4"),
+            ("a,b,y\n1,2,1\n3,4,0,\n", 3, "expected 3 cells, got 4"),
+            ("x,y\n1,1\n\n2,0\n", 3, "expected 2 cells, got 0"),
+            ("x,y\n1,1\n2,0\n\n", 4, "expected 2 cells, got 0"),
+            ("x,y\r\n1,1\r\n\r\n2,0\r\n", 3, "expected 2 cells, got 0"),
+            ("x,y\n1,1\nfoo,0\n", 3, "non-numeric feature cell"),
+            ("x,y\n1,1\n,0\n", 3, "non-numeric feature cell"),
+            ("x,y\n1,1\n0x10,0\n", 3, "non-numeric feature cell"),
+            ("x,y\n1,1\n\x1c2,0\n", 3, "non-numeric feature cell"),
+            ("x,y\n1,1\nNaN,0\n", 3, "non-finite feature value"),
+            ("x,y\n1,1\ninf,0\n", 3, "non-finite feature value"),
+            ("x,y\n1,1\n-Infinity,0\n", 3, "non-finite feature value"),
+            ("x,y\n1,1\n1e400,0\n", 3, "non-finite feature value"),
+        ],
+        ids=[
+            "short", "long", "trailing-comma", "blank-middle", "blank-end", "blank-crlf",
+            "foo", "empty-cell", "hex", "separator-char", "nan", "inf", "-infinity", "overflow",
+        ],
+    )
+    def test_error_names_the_line(self, tmp_path, text, lineno, message):
+        p = write(tmp_path / "d.csv", text)
+        assert self.error(p) == f"{p}:{lineno}: {message}"
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        p = write(tmp_path / "d.csv", "x,y\n1,1\n2,0\nfoo,1\nnan,0\n")
+        assert self.error(p) == f"{p}:4: non-numeric feature cell"
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        for text in ("x,y\n", "x,y"):
+            p = write(tmp_path / "d.csv", text)
+            assert self.error(p) == f"{p}: no data rows"
+
+    def test_zero_byte_file_is_empty(self, tmp_path):
+        p = write(tmp_path / "d.csv", "")
+        assert self.error(p) == f"{p}: empty file"
+
+    def test_missing_label_column(self, tmp_path):
+        p = write(tmp_path / "d.csv", "x,z\n1,1\n")
+        assert self.error(p) == f"{p}: label column 'y' not in header"
+
+    @pytest.mark.parametrize(
+        "text, pos, features, labels",
+        [
+            ('x,y\n"1.5",1\n2,"0"\n', "1", [[1.5], [2.0]], [True, False]),
+            ("x,y\r\n1.5,1\r\n2,0\r\n", "1", [[1.5], [2.0]], [True, False]),
+            ("x,y\r1.5,1\r2,0\r", "1", [[1.5], [2.0]], [True, False]),
+            ("x,y\n1.5,1\n2,0", "1", [[1.5], [2.0]], [True, False]),
+            ("x,y\n1, 1 \n2,\t0\n", "1", [[1.0], [2.0]], [True, False]),
+            ("x,y\n 1.5 ,1\n\t2,0\n", "1", [[1.5], [2.0]], [True, False]),
+            ("y,a,b\n1,2,3\n0,4,5\n", "1", [[2.0, 3.0], [4.0, 5.0]], [True, False]),
+            ("a,y,b\n2,0,3\n4,1,5\n", "1", [[2.0, 3.0], [4.0, 5.0]], [False, True]),
+            ("a,y,b\n2,no,3\n4,yes,5\n", "yes", [[2.0, 3.0], [4.0, 5.0]], [False, True]),
+            ("x,y\n+1,1\n.5,0\n-2.,1\n1E2,0\n", "1", [[1.0], [0.5], [-2.0], [100.0]],
+             [True, False, True, False]),
+        ],
+        ids=[
+            "quoted", "crlf", "cr", "no-final-newline", "padded-label", "padded-feature",
+            "label-first", "label-middle", "string-label-middle", "float-spellings",
+        ],
+    )
+    def test_loads(self, tmp_path, text, pos, features, labels):
+        p = write(tmp_path / "d.csv", text)
+        d = load_csv(p, "y", pos)
+        assert d.features.tolist() == features
+        assert d.labels.tolist() == labels
+
+    def test_label_compared_verbatim_after_strip(self, tmp_path):
+        p = write(tmp_path / "d.csv", "x,y\n1,1.0\n2,1\n3,1.0\n")
+        assert load_csv(p, "y", "1").labels.tolist() == [False, True, False]
+
+    def test_python_float_spellings_still_load(self, tmp_path):
+        # np.loadtxt refuses these; float() takes them, so they stay accepted
+        p = write(tmp_path / "d.csv", "x,y\n1_0,1\n١,0\n")
+        assert load_csv(p, "y", "1").features.tolist() == [[10.0], [1.0]]
+
+    def test_quoted_comma_in_label_still_loads(self, tmp_path):
+        p = write(tmp_path / "d.csv", 'x,y\n1,"a,b"\n2,c\n')
+        d = load_csv(p, "y", "a,b")
+        assert d.features.tolist() == [[1.0], [2.0]]
+        assert d.labels.tolist() == [True, False]
+
+    def test_roundtrip_extreme_values_bit_for_bit(self, tmp_path):
+        values = [
+            -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+        ]
+        d = Dataset(np.array([values, values[::-1]]), [True, False])
+        p = tmp_path / "rt.csv"
+        save_csv(d, p)
+        d2 = load_csv(p, "label", "1")
+        assert d2.features.tobytes() == d.features.tobytes()
+        assert d2.labels.tolist() == [True, False]
+
+    def test_matches_csv_oracle_on_random_files(self, tmp_path):
+        rng = np.random.default_rng(11)
+        odd = ["1_0", "١", " 2 ", "\xa03", "4\t", "0x1", "", "nan", "1e400", "\x1c5",
+               "6\x0c", '"7"', "1d5", "+.5", "-0"]
+        labels = ["1", "0", " 1 ", '"0"', "\x0c1"]
+        for trial in range(300):
+            n_feat = int(rng.integers(1, 4))
+            label_pos = int(rng.integers(0, n_feat + 1))
+            header = [f"x{j}" for j in range(n_feat)]
+            header.insert(label_pos, "y")
+            lines = [",".join(header)]
+            for _ in range(int(rng.integers(1, 5))):
+                cells = [
+                    str(odd[rng.integers(len(odd))]) if rng.random() < 0.1
+                    else repr(float(rng.normal(scale=10.0)))
+                    for _ in range(n_feat)
+                ]
+                cells.insert(label_pos, str(labels[rng.integers(len(labels))]))
+                lines.append(",".join(cells))
+            eol = ("\n", "\r\n", "\r")[trial % 3]
+            p = tmp_path / f"r{trial}.csv"
+            p.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+            expect = csv_oracle(p, "y", "1")
+            if isinstance(expect, str):
+                with pytest.raises(ValueError) as exc:
+                    load_csv(p, "y", "1")
+                assert expect in str(exc.value)
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    d = load_csv(p, "y", "1")
+                assert d.features.tobytes() == expect[0].tobytes()
+                assert d.labels.tolist() == expect[1].tolist()

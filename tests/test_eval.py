@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import random_dataset, tied_integer_dataset
-from topclf.data import Dataset
+from topclf import evaluation, experiment
+from topclf.data import Dataset, SplitSpec, split, synth_example
 from topclf.evaluation import (
     Counts,
     build_report,
@@ -15,6 +16,8 @@ from topclf.evaluation import (
     ptau_curve,
     write_curve_csv,
 )
+from topclf.solver import TrainConfig
+from topclf.surrogate import HINGE
 from topclf.threshold import exact_quantile, scores
 
 
@@ -262,3 +265,59 @@ class TestReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "tau,precision"
         assert len(lines) == 3
+
+
+def counting_scores(monkeypatch):
+    """Wrap ``topclf.evaluation.scores`` and return the list its calls append to."""
+    calls = []
+
+    def counted(w, d):
+        calls.append(d)
+        return scores(w, d)
+
+    monkeypatch.setattr(evaluation, "scores", counted)
+    return calls
+
+
+class TestScorePasses:
+    def test_build_report_scores_once(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(12), n=40)
+        w = np.random.default_rng(13).uniform(-1, 1, d.m)
+        calls = counting_scores(monkeypatch)
+        build_report(w, 0.0, d, [0.01, 0.03])
+        assert len(calls) == 1
+
+    def test_run_point_scores_each_split_once(self, monkeypatch):
+        parts = split(synth_example(40, seed=1), SplitSpec(seed=2))
+        cfg = TrainConfig(iterations=3)
+        task = ("synth", "patmat", 0.2, HINGE, cfg, [0.1, 0.3], {"beta": 1.0, "lambda": 0.0})
+        calls = counting_scores(monkeypatch)
+        record = experiment._run_point(task, parts)
+        assert [id(d) for d in calls] == [id(d) for d in parts]
+        assert set(record.criteria) == {"train", "valid", "test"}
+
+    def test_report_matches_brute_force(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            d = random_dataset(rng, n=int(rng.integers(4, 25)))
+            # quarter-step weights on integer features force tied scores
+            d = Dataset(np.round(d.features), d.labels)
+            w = rng.integers(-4, 5, d.m) / 4.0
+            z = scores(w, d)
+            t = float(rng.choice(z))
+            taus = [0.1, 0.5]
+            report = build_report(w, t, d, taus)
+            assert report.counts == brute_counts(w, t, d)
+            assert report.pr_curve == brute_pr_curve(w, d)
+            ptau = [(tau, precision_recall(brute_counts(w, exact_quantile(z, tau), d))[0])
+                    for tau in taus]
+            assert report.ptau_curve == ptau
+            t_top = max(z[i] for i in d.neg_idx)
+            expect = {"positives_at_top": sum(z[i] >= t_top for i in d.pos_idx) / d.n_pos}
+            for tau in taus:
+                for kind, pool in (("quantile", z), ("np", z[d.neg_idx])):
+                    t_q = exact_quantile(pool, tau)
+                    expect[f"positives_at_{kind}@{tau:g}"] = (
+                        sum(z[i] >= t_q for i in d.pos_idx) / d.n_pos
+                    )
+            assert report.criteria == expect

@@ -439,6 +439,35 @@ class TestManifestKeys:
         with pytest.raises(ManifestError, match=r"\(0, 1\]"):
             run_manifest(manifest, tmp_path / "out")
 
+    def test_unknown_method_rejected_before_any_work(self, tmp_path):
+        manifest = small_manifest()
+        manifest["methods"].append({"method": "svm"})
+        with pytest.raises(ManifestError, match=r"methods\[2\]: unknown method 'svm'"):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("train", {"iterations": 0}, "iterations must be positive"),
+            ("train", {"iterations": "5"}, "not supported between"),
+            ("train", {"n_minibatch": 0}, "n_minibatch must be positive"),
+            ("train", {"init": "ones"}, "init must be 'zeros' or 'uniform'"),
+            ("train", {"adam": {"step_size": -1.0}}, "step_size must be non-negative"),
+            ("split", {"train_frac": 0.9}, "fractions must sum to 1"),
+            ("split", {"train_frac": -0.5, "valid_frac": 1.0, "test_frac": 0.5}, r"lie in \[0,1\]"),
+            ("loss", "square", "unknown surrogate loss 'square'"),
+        ],
+    )
+    def test_bad_value_rejected_before_loading(self, tmp_path, section, value, message):
+        manifest = small_manifest()
+        # a dataset that cannot load shows the check comes first
+        manifest["datasets"] = [{"name": "gone", "path": "missing.csv", "label": "y", "pos": "1"}]
+        manifest[section] = value
+        with pytest.raises(ManifestError, match=message):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_readme_example_loads(self, tmp_path, monkeypatch):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("**Experiment manifest**")[1].split("```json\n")[1]
