@@ -1,8 +1,8 @@
 """CLI artifacts pinned byte for byte against stored goldens.
 
-``tests/golden/`` holds the exact ``model.json``, ``report.json`` and
-``run_records.json`` that ``topclf train``, ``eval`` and ``grid`` write for
-an 81-sample planted-outlier dataset.  A change of key order, number format
+``tests/golden/`` holds the exact JSON and CSV files that ``topclf synth``,
+``train``, ``eval``, ``grid`` and ``reproduce`` write for an 81-sample
+planted-outlier dataset.  A change of key order, number format, line ending
 or indentation fails here, where a rerun-against-rerun comparison would
 not.  ``ms_per_iter`` is a wall time and is masked before the comparison.
 """
@@ -37,7 +37,7 @@ def run(*argv):
 
 
 def produce(tmp: Path) -> dict[str, bytes]:
-    """The three artifacts, written under ``tmp``."""
+    """Every pinned artifact, written under ``tmp``."""
     data = tmp / "synth.csv"
     run("synth", "--n", 40, "--seed", 3, "--out", data)
     run(
@@ -50,11 +50,22 @@ def produce(tmp: Path) -> dict[str, bytes]:
     )
     (tmp / "manifest.json").write_text(json.dumps(MANIFEST))
     run("grid", "--manifest", tmp / "manifest.json", "--out", tmp / "grid")
+    run("reproduce", "--n", 2000, "--out", tmp / "reproduce.csv")
     records = (tmp / "grid" / "run_records.json").read_bytes()
+    timing = (tmp / "grid" / "timing.csv").read_bytes()
     return {
+        "synth.csv": data.read_bytes(),
         "model.json": (tmp / "run" / "model.json").read_bytes(),
+        "history.csv": (tmp / "run" / "history.csv").read_bytes(),
         "report.json": (tmp / "eval" / "report.json").read_bytes(),
+        "pr_curve.csv": (tmp / "eval" / "pr_curve.csv").read_bytes(),
+        "ptau_curve.csv": (tmp / "eval" / "ptau_curve.csv").read_bytes(),
         "run_records.json": re.sub(rb'"ms_per_iter": [^,\n]+', b'"ms_per_iter": 0', records),
+        "rank_table.csv": (tmp / "grid" / "rank_table.csv").read_bytes(),
+        "zero_audit.csv": (tmp / "grid" / "zero_audit.csv").read_bytes(),
+        # ms_per_iter is the last column of timing.csv
+        "timing.csv": re.sub(rb",[0-9.e+-]+\r\n", b",0\r\n", timing),
+        "reproduce.csv": (tmp / "reproduce.csv").read_bytes(),
     }
 
 
@@ -63,6 +74,12 @@ def outputs(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", ["model.json", "report.json", "run_records.json"])
+ARTIFACTS = [
+    "synth.csv", "model.json", "history.csv", "report.json", "pr_curve.csv", "ptau_curve.csv",
+    "run_records.json", "rank_table.csv", "zero_audit.csv", "timing.csv", "reproduce.csv",
+]
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
 def test_artifact_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
