@@ -6,14 +6,13 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .data import load_csv, load_libsvm, save_csv, synth_example
+from .data import load_dataset, save_csv, synth_example, write_csv, write_json
 from .evaluation import CRITERION_KINDS, build_report, check_taus, write_curve_csv
 from .experiment import ManifestError, reproduce_worked_example, run_manifest
 from .objective import ObjectiveSpec
@@ -49,10 +48,12 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_dataset(args):
+def _dataset_entry(args) -> dict:
+    """The manifest ``datasets`` entry, less its name, that the data flags spell."""
+    entry = {"format": args.format, "path": args.data}
     if args.format == "csv":
-        return load_csv(args.data, args.label, args.pos)
-    return load_libsvm(args.data)
+        entry.update(label=args.label, pos=args.pos)
+    return entry
 
 
 def _build_spec(args, parser: argparse.ArgumentParser) -> ObjectiveSpec:
@@ -78,21 +79,18 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args, parser) -> int:
     spec = _build_spec(args, parser)
-    dataset = _load_dataset(args)
+    dataset = load_dataset(_dataset_entry(args))
     cfg = _train_config(args)
     model = train(spec, dataset, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = model.to_dict()
     doc["version"] = __version__
-    (out / "model.json").write_text(json.dumps(doc, indent=2))
+    write_json(out / "model.json", doc)
     # wall times stay out of the CSV so reruns are byte-identical
-    with (out / "history.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "w_norm"])
-        hist = model.history
-        for i in range(len(hist.objective)):
-            writer.writerow([i, repr(float(hist.objective[i])), repr(float(hist.w_norm[i]))])
+    hist = model.history
+    rows = zip(range(hist.objective.size), hist.objective.tolist(), hist.w_norm.tolist())
+    write_csv(out / "history.csv", ["iteration", "objective", "w_norm"], rows)
     print(f"wrote {out / 'model.json'} (t_final={model.t_final:.6g})")
     return 0
 
@@ -110,7 +108,7 @@ def _parse_taus(text: str) -> list[float]:
 
 def cmd_eval(args, parser, curves_only: bool = False) -> int:
     model = Model.from_dict(json.loads(Path(args.model).read_text()))
-    dataset = _load_dataset(args)
+    dataset = load_dataset(_dataset_entry(args))
     if dataset.m != model.w.shape[0]:
         raise ValueError(
             f"model expects {model.w.shape[0]} features, dataset has {dataset.m}"
@@ -146,25 +144,19 @@ def cmd_reproduce(args, parser) -> int:
             f"{row['f']:11.4f}  {row['f_expected']:11.4f}"
         )
     if args.out:
-        with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(args.out, header, [[row[name] for name in header] for row in rows])
         print(f"wrote {args.out}")
     return 0
 
 
 def _flag_manifest(args) -> dict:
     """The one-entry manifest of flag-mode ``grid``; like ``train`` it drops an unused --tau."""
-    dataset = {"name": "data", "format": args.format, "path": args.data}
-    if args.format == "csv":
-        dataset.update(label=args.label, pos=args.pos)
     method = {"method": args.method}
     if args.tau is not None and "tau" in method_params(args.method):
         method["tau"] = args.tau
     swept = {name: getattr(args, name) for name in ("betas", "lambdas", "ks")}
     return {
-        "datasets": [dataset],
+        "datasets": [{"name": "data", **_dataset_entry(args)}],
         "methods": [method],
         "grid": {name: values for name, values in swept.items() if values},
         "train": dataclasses.asdict(_train_config(args)),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -252,17 +253,34 @@ def _parse_rows(
 def save_csv(d: Dataset, path, label_column: str = "label") -> None:
     """Write ``d`` as CSV with columns x0..x{m-1} plus the label column.
 
-    Feature cells use repr so that reloading reproduces the floats
-    bit-for-bit; labels are written as 1/0.
+    Reloading reproduces the floats bit-for-bit; labels are written as 1/0.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    columns = [f"x{j}" for j in range(d.m)] + [label_column]
+    labels = ["1" if positive else "0" for positive in d.labels.tolist()]
+    write_csv(path, columns, (row.tolist() + [label] for row, label in zip(d.features, labels)))
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a ``columns`` header, then ``rows``, as UTF-8 CSV; floats get their shortest repr."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(d.m)] + [label_column])
-        for i in range(d.n):
-            writer.writerow(
-                [repr(float(v)) for v in d.features[i]] + ["1" if d.labels[i] else "0"]
-            )
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as ASCII JSON indented by 2 spaces."""
+    Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
+
+
+def load_dataset(entry: dict) -> Dataset:
+    """The dataset a manifest ``datasets`` entry names, loaded by its ``format`` (default csv)."""
+    kind = entry.get("format", "csv")
+    if kind == "synth":
+        return synth_example(entry["n"], entry.get("seed", 0))
+    if kind == "csv":
+        return load_csv(entry["path"], entry["label"], entry["pos"])
+    return load_libsvm(entry["path"])
 
 
 def load_libsvm(path) -> Dataset:

@@ -8,14 +8,11 @@ on the score vector; ``build_report`` scores once and calls the helpers.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv, write_json
 from .threshold import exact_quantile, scores
 
 __all__ = [
@@ -60,7 +57,7 @@ class EvalReport:
         return {**vars(self), "counts": asdict(self.counts)}
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        write_json(path, self.to_dict())
 
 
 def counts(w: np.ndarray, t: float, d: Dataset) -> Counts:
@@ -209,8 +206,4 @@ def build_report(
 
 def write_curve_csv(points, path, columns: tuple[str, str]) -> None:
     """Write a two-column curve as CSV with a header row."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for x, y in points:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    write_csv(path, columns, points)

@@ -15,9 +15,7 @@ rank tables aggregate.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
-import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,8 +24,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from . import data as data_mod
-from .data import Dataset, SplitSpec, check_minibatches, split, synth_example
+from .data import Dataset, SplitSpec, check_minibatches, load_dataset, split, synth_example
+from .data import write_csv, write_json
 from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, objective
 from .solver import AdamParams, Model, TrainConfig, train
@@ -370,15 +368,6 @@ def _check_manifest(manifest: dict) -> None:
             raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
 
 
-def _load_manifest_dataset(entry: dict) -> Dataset:
-    kind = entry.get("format", "csv")
-    if kind == "synth":
-        return synth_example(entry["n"], entry.get("seed", 0))
-    if kind == "csv":
-        return data_mod.load_csv(entry["path"], entry["label"], entry["pos"])
-    return data_mod.load_libsvm(entry["path"])
-
-
 def _check_feasible(name: str, d_train: Dataset, methods, grid: Grid, n_minibatch: int) -> None:
     """Reject a grid point that the training split ``d_train`` cannot support.
 
@@ -428,7 +417,7 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
         raise ManifestError(f"invalid manifest value: {exc}") from None
     splits = {}
     for entry in manifest["datasets"]:
-        splits[entry["name"]] = parts = split(_load_manifest_dataset(entry), spec_split)
+        splits[entry["name"]] = parts = split(load_dataset(entry), spec_split)
         _check_feasible(entry["name"], parts[0], manifest["methods"], grid, cfg.n_minibatch)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -449,21 +438,14 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
                 winners.append(best)
                 all_records.extend(records)
 
-    records_doc = json.dumps([r.to_dict() for r in all_records], indent=2)
-    (out / "run_records.json").write_text(records_doc)
+    write_json(out / "run_records.json", [r.to_dict() for r in all_records])
     criteria_keys = sorted(winners[0].criteria["test"]) if winners else []
     ranks = rank_table(winners, criteria_keys)
     methods = sorted({r.method for r in winners})
-    rank_rows = [{"method": m, **{c: f"{ranks[c][m]:.2f}" for c in ranks}} for m in methods]
-    _write_rows_csv(rank_rows, out / "rank_table.csv", ["method", *ranks])
-    _write_rows_csv(zero_audit(all_records), out / "zero_audit.csv", _AUDIT_COLUMNS)
-    timing_columns = ["method", "dataset", "ms_per_iter"]
-    _write_rows_csv([vars(r) for r in winners], out / "timing.csv", timing_columns)
+    rank_rows = [[m, *(f"{ranks[c][m]:.2f}" for c in ranks)] for m in methods]
+    write_csv(out / "rank_table.csv", ["method", *ranks], rank_rows)
+    audit_rows = [row.values() for row in zero_audit(all_records)]
+    write_csv(out / "zero_audit.csv", _AUDIT_COLUMNS, audit_rows)
+    timing_rows = [(r.method, r.dataset, r.ms_per_iter) for r in winners]
+    write_csv(out / "timing.csv", ["method", "dataset", "ms_per_iter"], timing_rows)
     return {"winners": winners, "records": all_records, "rank_table": ranks}
-
-
-def _write_rows_csv(rows: list[dict], path: Path, columns) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
