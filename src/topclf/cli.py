@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from .data import load_dataset, save_csv, synth_example, write_csv, write_json
 from .evaluation import CRITERION_KINDS, build_report, check_taus, write_curve_csv
 from .experiment import ManifestError, reproduce_worked_example, run_manifest
 from .objective import ObjectiveSpec
-from .solver import AdamParams, Model, TrainConfig, train
+from .solver import Model, TrainConfig, train
 from .surrogate import make_loss
 from .threshold import CLI_TOKENS, method_params, rule_from_token
 
@@ -65,23 +64,25 @@ def _build_spec(args, parser: argparse.ArgumentParser) -> ObjectiveSpec:
     return ObjectiveSpec(rule=rule, loss=make_loss(args.loss), lam=args.lam)
 
 
-def _train_config(args) -> TrainConfig:
-    project = {"auto": None, "on": True, "off": False}[args.project]
-    return TrainConfig(
-        iterations=args.iters,
-        adam=AdamParams(step_size=args.step_size),
-        n_minibatch=args.minibatches,
-        seed=args.seed,
-        project_unit_ball=project,
-        init=args.init,
-    )
+def _train_config(args) -> dict:
+    """The train config document the train flags spell, unvalidated."""
+    return {
+        "iterations": args.iters,
+        "adam": {"step_size": args.step_size},
+        "n_minibatch": args.minibatches,
+        "seed": args.seed,
+        "project_unit_ball": {"auto": None, "on": True, "off": False}[args.project],
+        "init": args.init,
+    }
 
 
 def cmd_train(args, parser) -> int:
-    spec = _build_spec(args, parser)
-    dataset = load_dataset(_dataset_entry(args))
-    cfg = _train_config(args)
-    model = train(spec, dataset, cfg)
+    try:
+        spec = _build_spec(args, parser)
+        cfg = TrainConfig(**_train_config(args))
+    except ValueError as exc:
+        parser.error(str(exc))
+    model = train(spec, load_dataset(_dataset_entry(args)), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = model.to_dict()
@@ -159,7 +160,7 @@ def _flag_manifest(args) -> dict:
         "datasets": [{"name": "data", **_dataset_entry(args)}],
         "methods": [method],
         "grid": {name: values for name, values in swept.items() if values},
-        "train": dataclasses.asdict(_train_config(args)),
+        "train": _train_config(args),
         "split": {"seed": args.seed},
         "select": {"criterion": args.criterion, "tau": args.criterion_tau},
         "criteria_taus": [],

@@ -322,7 +322,14 @@ class ManifestError(ValueError):
     """A bad manifest key or value, an infeasible grid point or jobs < 1."""
 
 
+def _check_type(value, kind: type, where: str) -> None:
+    """Raise unless ``value`` is a JSON object (``kind`` dict) or array (``kind`` list)."""
+    if not isinstance(value, kind):
+        raise ManifestError(f"{where} must be a JSON {'object' if kind is dict else 'array'}")
+
+
 def _check_keys(doc: dict, where: str, required, optional) -> None:
+    _check_type(doc, dict, where)
     missing = [key for key in required if key not in doc]
     if missing:
         raise ManifestError(f"missing manifest key {missing[0]!r} in {where}")
@@ -337,7 +344,10 @@ def _check_keys(doc: dict, where: str, required, optional) -> None:
 
 def _check_manifest(manifest: dict) -> None:
     _check_keys(manifest, "the manifest", _REQUIRED_KEYS, _OPTIONAL_KEYS)
+    for key in ("datasets", "methods", "criteria_taus"):
+        _check_type(manifest.get(key, []), list, key)
     train = manifest.get("train", {})
+    _check_type(train, dict, "train")
     # sections that load with cls(**doc) take exactly the dataclass fields
     for where, doc, cls in (
         ("grid", manifest.get("grid", {}), Grid),
@@ -346,17 +356,20 @@ def _check_manifest(manifest: dict) -> None:
         ("split", manifest.get("split", {}), SplitSpec),
     ):
         _check_keys(doc, where, (), [f.name for f in dataclasses.fields(cls)])
+    for axis, values in manifest.get("grid", {}).items():
+        _check_type(values, list, f"grid.{axis}")
     _check_keys(manifest["select"], "select", (), ("criterion", "tau"))
-    names = [entry.get("name") for entry in manifest["datasets"]]
     for i, entry in enumerate(manifest["datasets"]):
+        _check_type(entry, dict, f"datasets[{i}]")
         fmt = entry.get("format", "csv")
         if fmt not in _DATASET_KEYS:
             raise ManifestError(f"unknown dataset format {fmt!r} in datasets[{i}]")
         required, optional = _DATASET_KEYS[fmt]
         _check_keys(entry, f"datasets[{i}]", ("name", *required), ("format", *optional))
-        if entry["name"] in names[:i]:
+        if entry["name"] in [prev["name"] for prev in manifest["datasets"][:i]]:
             raise ManifestError(f"datasets[{i}]: dataset name {entry['name']!r} is taken")
     for i, entry in enumerate(manifest["methods"]):
+        _check_type(entry, dict, f"methods[{i}]")
         try:
             params = method_params(entry["method"]) if "method" in entry else ()
         except ValueError as exc:

@@ -72,6 +72,32 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "grill", "--tau", 2], "requires tau in (0, 1)"),
+            (["--method", "toppushk", "--k", 0], "requires a positive integer k"),
+            (["--method", "toppush", "--lambda", -1], "lambda must be non-negative"),
+            (["--method", "toppush", "--iters", 0], "iterations must be positive"),
+            (["--method", "toppush", "--minibatches", 0], "n_minibatch must be positive"),
+            (["--method", "toppush", "--step-size", -1], "step_size must be non-negative"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error_before_loading(self, tmp_path, capsys, flags, message):
+        # a missing data file would exit 1, so exit 2 shows the check comes first
+        with pytest.raises(SystemExit) as exc:
+            run("train", *flags, "--data", tmp_path / "missing.csv", "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_too_many_minibatches_for_the_data_is_runtime_error(self, data_csv, tmp_path):
+        code = run(
+            "train", "--method", "toppush", "--data", data_csv, "--minibatches", 40,
+            "--out", tmp_path / "o",
+        )
+        assert code == 1
+
     def test_rerun_is_byte_identical(self, data_csv, tmp_path):
         args = (
             "train", "--method", "toppush", "--data", data_csv,
@@ -209,6 +235,26 @@ class TestGrid:
         assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--iters", 0, "iterations must be positive"),
+            ("--minibatches", 0, "n_minibatch must be positive"),
+            ("--step-size", -1, "step_size must be non-negative"),
+        ],
+    )
+    def test_bad_train_flag_is_the_manifest_usage_error(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "grid", "--method", "toppush", "--data", tmp_path / "missing.csv",
+                flag, value, "--out", tmp_path / "g",
+            )
+        assert exc.value.code == 2
+        assert f"invalid manifest value: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_manifest_mode(self, tmp_path):
         manifest = {
             "datasets": [{"name": "synth", "format": "synth", "n": 120, "seed": 1}],
@@ -247,8 +293,9 @@ class TestGrid:
             (lambda m: m["datasets"][0].pop("n"), "missing manifest key 'n'"),
             (lambda m: m["methods"][0].pop("method"), "missing manifest key 'method'"),
             (lambda m: m["methods"].append({"method": "toppushk"}), "k=15 exceeds"),
+            (lambda m: m.update(select="positives_at_top"), "select must be a JSON object"),
         ],
-        ids=["select", "n", "method", "infeasible-k"],
+        ids=["select", "n", "method", "infeasible-k", "select-type"],
     )
     def test_missing_key_or_infeasible_point_is_usage_error(
         self, tmp_path, capsys, edit, message

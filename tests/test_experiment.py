@@ -433,6 +433,42 @@ class TestManifestKeys:
             run_manifest(manifest, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ((), [1], "the manifest must be a JSON object"),
+            (("datasets",), {"name": "synth"}, "datasets must be a JSON array"),
+            (("datasets", 0), 5, r"datasets\[0\] must be a JSON object"),
+            (("methods",), "toppush", "methods must be a JSON array"),
+            (("methods", 0), "toppush", r"methods\[0\] must be a JSON object"),
+            (("criteria_taus",), 0.2, "criteria_taus must be a JSON array"),
+            (("grid",), [0.1], "grid must be a JSON object"),
+            (("grid", "lambdas"), 0.1, "grid.lambdas must be a JSON array"),
+            (("train",), [1], "train must be a JSON object"),
+            (("train", "adam"), 0.01, "train.adam must be a JSON object"),
+            (("split",), None, "split must be a JSON object"),
+            (("select",), "positives_at_top", "select must be a JSON object"),
+        ],
+    )
+    def test_wrong_json_type_rejected_before_loading(
+        self, tmp_path, monkeypatch, path, value, message
+    ):
+        def fail(entry):
+            raise AssertionError("a dataset was loaded")
+
+        monkeypatch.setattr(experiment, "load_dataset", fail)
+        manifest = small_manifest()
+        if path:
+            doc = manifest
+            for step in path[:-1]:
+                doc = doc[step]
+            doc[path[-1]] = value
+        else:
+            manifest = value
+        with pytest.raises(ManifestError, match=message):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_criteria_tau_rejected(self, tmp_path):
         manifest = small_manifest()
         manifest["criteria_taus"] = [0.2, 1.5]
