@@ -1,4 +1,4 @@
-"""Dataset container, file loaders, splitting and minibatch machinery."""
+"""Dataset container, file loaders and writers, splitting and minibatch machinery."""
 
 from __future__ import annotations
 
