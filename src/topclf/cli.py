@@ -170,7 +170,10 @@ def _flag_manifest(args) -> dict:
 
 def cmd_grid(args, parser) -> int:
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
+        try:
+            manifest = json.loads(Path(args.manifest).read_text())
+        except json.JSONDecodeError as exc:
+            parser.error(f"manifest {args.manifest} is not valid JSON: {exc}")
     elif args.method and args.data:
         manifest = _flag_manifest(args)
     else:

@@ -2,8 +2,8 @@
 
 A sample is predicted positive iff its score is >= the threshold; ties sit
 on the positive side by convention, and their count is tracked in ``q``.
-Each public function of the weights scores the data and calls its helper
-on the score vector; ``build_report`` scores once and calls the helpers.
+Every function here takes the score vector z = X w of the dataset, as
+``threshold.scores`` computes it; ``build_report`` scores once and calls them.
 """
 
 from __future__ import annotations
@@ -60,12 +60,8 @@ class EvalReport:
         write_json(path, self.to_dict())
 
 
-def counts(w: np.ndarray, t: float, d: Dataset) -> Counts:
-    """Exact 0-1 confusion counts of the classifier sign(w.x - t)."""
-    return _counts(scores(w, d), t, d)
-
-
-def _counts(z: np.ndarray, t: float, d: Dataset) -> Counts:
+def counts(z: np.ndarray, t: float, d: Dataset) -> Counts:
+    """Exact 0-1 confusion counts of the classifier sign(z - t)."""
     zp, zn = z[d.pos_idx], z[d.neg_idx]
     tp = int(np.count_nonzero(zp >= t))
     fp = int(np.count_nonzero(zn >= t))
@@ -105,22 +101,16 @@ def check_criterion(kind: str, tau: float | None) -> None:
         raise ValueError(f"{kind} requires tau")
 
 
-def ptau_curve(
-    w: np.ndarray, d: Dataset, taus
-) -> list[tuple[float, float]]:
+def ptau_curve(z: np.ndarray, d: Dataset, taus) -> list[tuple[float, float]]:
     """Precision at the top tau-quantile threshold, per requested tau."""
-    return _ptau_curve(scores(w, d), d, taus)
-
-
-def _ptau_curve(z: np.ndarray, d: Dataset, taus) -> list[tuple[float, float]]:
     points = []
     for tau in check_taus(taus):
-        precision, _ = precision_recall(_counts(z, exact_quantile(z, tau), d))
+        precision, _ = precision_recall(counts(z, exact_quantile(z, tau), d))
         points.append((tau, precision))
     return points
 
 
-def pr_curve(w: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
+def pr_curve(z: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
     """(recall, precision) sweep over all distinct score thresholds.
 
     Thresholds run from the highest score downward; among points with equal
@@ -128,10 +118,6 @@ def pr_curve(w: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
     increasing.  One descending sort gives the counts at every threshold:
     predicted positives at a score are all samples up to the last of its ties.
     """
-    return _pr_curve(scores(w, d), d)
-
-
-def _pr_curve(z: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
     order = np.argsort(-z, kind="stable")
     z = z[order]
     last = np.flatnonzero(np.append(z[1:] != z[:-1], True))
@@ -144,19 +130,13 @@ def _pr_curve(z: np.ndarray, d: Dataset) -> list[tuple[float, float]]:
     return list(zip(recall.tolist(), (tp / predicted).tolist()))
 
 
-def criterion(
-    kind: str, w: np.ndarray, d: Dataset, tau: float | None = None
-) -> float:
+def criterion(kind: str, z: np.ndarray, d: Dataset, tau: float | None = None) -> float:
     """Fraction of positives scoring at or above the criterion's threshold.
 
     ``positives_at_top`` uses the largest negative score,
     ``positives_at_quantile`` the top tau-quantile of all scores and
     ``positives_at_np`` the top tau-quantile of the negative scores.
     """
-    return _criterion(kind, scores(w, d), d, tau)
-
-
-def _criterion(kind: str, z: np.ndarray, d: Dataset, tau: float | None = None) -> float:
     check_criterion(kind, tau)
     if d.n_pos == 0:
         raise ValueError("criterion undefined without positive samples")
@@ -172,34 +152,28 @@ def _criterion(kind: str, z: np.ndarray, d: Dataset, tau: float | None = None) -
     return int(np.count_nonzero(z[d.pos_idx] >= t)) / d.n_pos
 
 
-def criteria_table(w: np.ndarray, d: Dataset, taus) -> dict[str, float]:
-    """Every criterion of ``w`` on ``d``: top, then both quantiles per tau."""
-    return _criteria_table(scores(w, d), d, taus)
-
-
-def _criteria_table(z: np.ndarray, d: Dataset, taus) -> dict[str, float]:
-    crits = {"positives_at_top": _criterion("positives_at_top", z, d)}
+def criteria_table(z: np.ndarray, d: Dataset, taus) -> dict[str, float]:
+    """Every criterion of the scores ``z`` on ``d``: top, then both quantiles per tau."""
+    crits = {"positives_at_top": criterion("positives_at_top", z, d)}
     for tau in taus:
-        crits[f"positives_at_quantile@{tau:g}"] = _criterion("positives_at_quantile", z, d, tau)
-        crits[f"positives_at_np@{tau:g}"] = _criterion("positives_at_np", z, d, tau)
+        crits[f"positives_at_quantile@{tau:g}"] = criterion("positives_at_quantile", z, d, tau)
+        crits[f"positives_at_np@{tau:g}"] = criterion("positives_at_np", z, d, tau)
     return crits
 
 
-def build_report(
-    w: np.ndarray, t: float, d: Dataset, taus
-) -> EvalReport:
+def build_report(w: np.ndarray, t: float, d: Dataset, taus) -> EvalReport:
     """Full evaluation of weights ``w`` at decision threshold ``t``, from one score pass."""
     z = scores(w, d)
-    c = _counts(z, t, d)
+    c = counts(z, t, d)
     precision, recall = precision_recall(c)
-    crits = _criteria_table(z, d, taus)
+    crits = criteria_table(z, d, taus)
     return EvalReport(
         counts=c,
         threshold=t,
         precision=precision,
         recall=recall,
-        pr_curve=_pr_curve(z, d),
-        ptau_curve=_ptau_curve(z, d, sorted(taus)),
+        pr_curve=pr_curve(z, d),
+        ptau_curve=ptau_curve(z, d, sorted(taus)),
         criteria=crits,
     )
 

@@ -27,10 +27,10 @@ from scipy.stats import rankdata
 from .data import Dataset, SplitSpec, check_minibatches, load_dataset, split, synth_example
 from .data import write_csv, write_json
 from .evaluation import check_criterion, check_taus, criteria_table
-from .objective import ObjectiveSpec, objective
+from .objective import ObjectiveSpec, evaluate, objective
 from .solver import AdamParams, Model, TrainConfig, train
 from .surrogate import HINGE, SurrogateLoss, make_loss
-from .threshold import NEGATIVE_KINDS, RULES, check_pool, method_params, rule_from_token, threshold
+from .threshold import NEGATIVE_KINDS, RULES, check_pool, method_params, rule_from_token, scores
 
 __all__ = [
     "Grid",
@@ -134,7 +134,7 @@ def _run_point(task, splits=None) -> RunRecord:
         dataset=dataset_name,
         params=point,
         seed=cfg.seed,
-        criteria={name: criteria_table(model.w, d, taus) for name, d in splits.items()},
+        criteria={name: criteria_table(scores(model.w, d), d, taus) for name, d in splits.items()},
         f_final=objective(spec, model.w, splits["train"]),
         f_zero=objective(spec, zeros, splits["train"]),
         ms_per_iter=float(np.median(model.history.iter_ms)),
@@ -292,14 +292,13 @@ def reproduce_worked_example(
     for token in methods:
         spec = ObjectiveSpec(rule=rule_from_token(token, k=k, tau=tau, beta=beta))
         for point_name, w in (("w1", w1), ("w2", w2)):
-            t_meas = threshold(spec.rule, w, d, spec.loss).t
-            f_meas = objective(spec, w, d)
+            f_meas, _, tres = evaluate(spec, w, d)
             t_exp, f_exp = expected[token][point_name]
             rows.append(
                 {
                     "method": token,
                     "point": point_name,
-                    "t": t_meas,
+                    "t": tres.t,
                     "t_expected": t_exp,
                     "f": f_meas,
                     "f_expected": f_exp,
@@ -316,20 +315,40 @@ _DATASET_KEYS = {
     "csv": (("path", "label", "pos"), ()),
     "libsvm": (("path",), ()),
 }
+# JSON type of each value in a section or entry, beyond the section types
+_LEAF_TYPES = {
+    "datasets": {
+        "n": "integer", "seed": "integer", "path": "string", "label": "string", "pos": "string",
+    },
+    "grid": {"betas": "number", "lambdas": "number", "ks": "integer"},
+    "methods": {"tau": "number"},
+    "split": {"seed": "integer"},
+    "train": {"seed": "integer", "n_minibatch": "integer"},
+}
+# JSON type: the Python types json.loads gives it; a JSON boolean loads as a
+# bool, which subclasses int, yet is neither a number nor an integer
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
 
 
 class ManifestError(ValueError):
     """A bad manifest key or value, an infeasible grid point or jobs < 1."""
 
 
-def _check_type(value, kind: type, where: str) -> None:
-    """Raise unless ``value`` is a JSON object (``kind`` dict) or array (``kind`` list)."""
-    if not isinstance(value, kind):
-        raise ManifestError(f"{where} must be a JSON {'object' if kind is dict else 'array'}")
+def _check_type(value, kind: str, where: str) -> None:
+    """Raise unless ``value`` has the JSON type ``kind``, a key of ``_JSON_TYPES``."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ManifestError(f"{where} must be a JSON {kind}")
+
+
+def _check_leaves(doc: dict, section: str, where: str) -> None:
+    """Check each value of ``doc`` that ``_LEAF_TYPES[section]`` types."""
+    for key, kind in _LEAF_TYPES[section].items():
+        if key in doc:
+            _check_type(doc[key], kind, f"{where}.{key}")
 
 
 def _check_keys(doc: dict, where: str, required, optional) -> None:
-    _check_type(doc, dict, where)
+    _check_type(doc, "object", where)
     missing = [key for key in required if key not in doc]
     if missing:
         raise ManifestError(f"missing manifest key {missing[0]!r} in {where}")
@@ -345,9 +364,9 @@ def _check_keys(doc: dict, where: str, required, optional) -> None:
 def _check_manifest(manifest: dict) -> None:
     _check_keys(manifest, "the manifest", _REQUIRED_KEYS, _OPTIONAL_KEYS)
     for key in ("datasets", "methods", "criteria_taus"):
-        _check_type(manifest.get(key, []), list, key)
+        _check_type(manifest.get(key, []), "array", key)
     train = manifest.get("train", {})
-    _check_type(train, dict, "train")
+    _check_type(train, "object", "train")
     # sections that load with cls(**doc) take exactly the dataclass fields
     for where, doc, cls in (
         ("grid", manifest.get("grid", {}), Grid),
@@ -356,20 +375,26 @@ def _check_manifest(manifest: dict) -> None:
         ("split", manifest.get("split", {}), SplitSpec),
     ):
         _check_keys(doc, where, (), [f.name for f in dataclasses.fields(cls)])
+    _check_leaves(train, "train", "train")
+    _check_leaves(manifest.get("split", {}), "split", "split")
     for axis, values in manifest.get("grid", {}).items():
-        _check_type(values, list, f"grid.{axis}")
+        _check_type(values, "array", f"grid.{axis}")
+        for j, value in enumerate(values):
+            _check_type(value, _LEAF_TYPES["grid"][axis], f"grid.{axis}[{j}]")
     _check_keys(manifest["select"], "select", (), ("criterion", "tau"))
     for i, entry in enumerate(manifest["datasets"]):
-        _check_type(entry, dict, f"datasets[{i}]")
+        _check_type(entry, "object", f"datasets[{i}]")
         fmt = entry.get("format", "csv")
-        if fmt not in _DATASET_KEYS:
+        if not isinstance(fmt, str) or fmt not in _DATASET_KEYS:
             raise ManifestError(f"unknown dataset format {fmt!r} in datasets[{i}]")
         required, optional = _DATASET_KEYS[fmt]
         _check_keys(entry, f"datasets[{i}]", ("name", *required), ("format", *optional))
+        _check_leaves(entry, "datasets", f"datasets[{i}]")
         if entry["name"] in [prev["name"] for prev in manifest["datasets"][:i]]:
             raise ManifestError(f"datasets[{i}]: dataset name {entry['name']!r} is taken")
     for i, entry in enumerate(manifest["methods"]):
-        _check_type(entry, dict, f"methods[{i}]")
+        _check_type(entry, "object", f"methods[{i}]")
+        _check_type(entry.get("method", ""), "string", f"methods[{i}].method")
         try:
             params = method_params(entry["method"]) if "method" in entry else ()
         except ValueError as exc:
@@ -379,6 +404,7 @@ def _check_manifest(manifest: dict) -> None:
         _check_keys(entry, f"methods[{i}]", ("method",), ("tau",) if takes_tau else ())
         if takes_tau and "tau" not in entry:
             raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
+        _check_leaves(entry, "methods", f"methods[{i}]")
 
 
 def _check_feasible(name: str, d_train: Dataset, methods, grid: Grid, n_minibatch: int) -> None:

@@ -36,7 +36,7 @@ from .threshold import (
     threshold_scored,
 )
 
-__all__ = ["ObjectiveSpec", "objective", "gradient", "evaluate"]
+__all__ = ["ObjectiveSpec", "objective", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,3 @@ def objective(spec: ObjectiveSpec, w: np.ndarray, d: Dataset) -> float:
     """f(w) on dataset ``d`` (full data or a minibatch)."""
     value, _, _ = evaluate(spec, w, d)
     return value
-
-
-def gradient(spec: ObjectiveSpec, w: np.ndarray, d: Dataset) -> np.ndarray:
-    """grad f(w) using the implicit threshold gradient."""
-    _, grad, _ = evaluate(spec, w, d)
-    return grad

@@ -10,7 +10,7 @@ import numpy as np
 from .data import Dataset, minibatches
 from .objective import ObjectiveSpec, evaluate
 from .surrogate import make_loss
-from .threshold import QUANTILE_KINDS, ThresholdRule, threshold
+from .threshold import QUANTILE_KINDS, ThresholdRule, scores, threshold_scored
 
 __all__ = [
     "AdamParams",
@@ -206,6 +206,6 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
         norm_trace[it] = np.linalg.norm(w)
         ms_trace[it] = (time.perf_counter() - tic) * 1e3
 
-    t_final = threshold(spec.rule, w, d_train, spec.loss).t
+    t_final = threshold_scored(spec.rule, scores(w, d_train), d_train, spec.loss).t
     history = TrainHistory(objective=objective_trace, w_norm=norm_trace, iter_ms=ms_trace)
     return Model(w=w, spec=spec, config=cfg, t_final=t_final, history=history)

@@ -48,7 +48,6 @@ __all__ = [
     "top_k_mean",
     "exact_quantile",
     "surrogate_quantile",
-    "threshold",
     "threshold_scored",
 ]
 
@@ -245,17 +244,10 @@ def surrogate_quantile(
     return float(m + (1.0 - math.sqrt(s2)) / beta)
 
 
-def threshold(
-    rule: ThresholdRule, w: np.ndarray, d: Dataset, loss: SurrogateLoss = HINGE
-) -> ThresholdResult:
-    """Threshold, gradient and support for ``rule`` at weights ``w``."""
-    return threshold_scored(rule, scores(w, d), d, loss)
-
-
 def threshold_scored(
     rule: ThresholdRule, z: np.ndarray, d: Dataset, loss: SurrogateLoss = HINGE
 ) -> ThresholdResult:
-    """Same as :func:`threshold` with the scores already computed."""
+    """Threshold, gradient weights and support for ``rule`` at the scores ``z`` of ``d``."""
     kind = rule.kind
     if kind in NEGATIVE_KINDS:
         sel = d.neg_idx

@@ -21,7 +21,7 @@ from helpers import (
 from topclf.data import Dataset, synth_example
 from topclf.evaluation import counts, criterion, pr_curve, precision_recall
 from topclf.experiment import reproduce_worked_example, timing_probe
-from topclf.objective import ObjectiveSpec, gradient, objective
+from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.solver import TrainConfig, train
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
 from topclf.threshold import (
@@ -30,7 +30,7 @@ from topclf.threshold import (
     rule_from_token,
     scores,
     surrogate_quantile,
-    threshold,
+    threshold_scored,
 )
 
 CONVEX_KINDS = (
@@ -220,7 +220,7 @@ def test_06_threshold_orderings():
         beta = float(10.0 ** rng.uniform(-1.5, 0.5))
         w = rng.uniform(-1, 1, d.m)
         t = {
-            kind: threshold(make_rule(kind, k=k, tau=tau, beta=beta), w, d).t
+            kind: threshold_scored(make_rule(kind, k=k, tau=tau, beta=beta), scores(w, d), d).t
             for kind in (
                 "top_push",
                 "top_push_k",
@@ -270,7 +270,7 @@ def test_07_gradient_oracle():
                 if not is_stable(lambda v: objective_pattern(spec, v, d), w, h):
                     continue
                 found += 1
-                g = gradient(spec, w, d)
+                g = evaluate(spec, w, d)[1]
                 fd = central_diff(lambda v: objective(spec, v, d), w, h)
                 if np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g)):
                     matched += 1
@@ -297,7 +297,7 @@ def test_08_quantile_count_identity():
         checked += 1
         z = scores(w, d)
         t = exact_quantile(z, tau)
-        c = counts(w, t, d)
+        c = counts(scores(w, d), t, d)
         for alpha in (0.0, 0.25, 0.5, 1.0):
             rhs = (
                 alpha * c.fp
@@ -345,7 +345,7 @@ def test_10_brute_force_equivalence():
         tq = exact_quantile(z, tau)
         ok &= tq == brute_force_quantile(z, tau)
 
-        c = counts(w, t, d)
+        c = counts(scores(w, d), t, d)
         tp = sum(1 for i in d.pos_idx if z[i] >= t)
         fp = sum(1 for i in d.neg_idx if z[i] >= t)
         ok &= (c.tp, c.fp, c.fn, c.tn) == (tp, fp, d.n_pos - tp, d.n_neg - fp)
@@ -353,21 +353,21 @@ def test_10_brute_force_equivalence():
 
         best = {}
         for tt in sorted(set(z), reverse=True):
-            cc = counts(w, float(tt), d)
+            cc = counts(scores(w, d), float(tt), d)
             p, r = precision_recall(cc)
             if r not in best or p > best[r]:
                 best[r] = p
-        ok &= pr_curve(w, d) == sorted(best.items())
+        ok &= pr_curve(scores(w, d), d) == sorted(best.items())
 
         t_top = max(z[i] for i in d.neg_idx)
         expect = sum(1 for i in d.pos_idx if z[i] >= t_top) / d.n_pos
-        ok &= criterion("positives_at_top", w, d) == expect
+        ok &= criterion("positives_at_top", scores(w, d), d) == expect
         t_q = brute_force_quantile(z, tau)
         expect = sum(1 for i in d.pos_idx if z[i] >= t_q) / d.n_pos
-        ok &= criterion("positives_at_quantile", w, d, tau) == expect
+        ok &= criterion("positives_at_quantile", scores(w, d), d, tau) == expect
         t_np = brute_force_quantile(z[d.neg_idx], tau)
         expect = sum(1 for i in d.pos_idx if z[i] >= t_np) / d.n_pos
-        ok &= criterion("positives_at_np", w, d, tau) == expect
+        ok &= criterion("positives_at_np", scores(w, d), d, tau) == expect
     verdict(10, "enumeration oracles agree on small datasets", bool(ok))
 
 

@@ -219,6 +219,17 @@ class TestGrid:
         assert run("grid", "--manifest", mpath, "--out", tmp_path / "manifest") == 0
         assert grid_artifacts(tmp_path / "flags") == grid_artifacts(tmp_path / "manifest")
 
+    def test_invalid_manifest_json_is_usage_error(self, tmp_path, capsys):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text('{"datasets": [{"name": "s", "format": "synth", "n": 40}],\n  "methods": [{')
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "g")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"manifest {mpath} is not valid JSON" in err
+        assert "line 2 column 16" in err
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     @pytest.mark.parametrize("mode", ["flags", "manifest"])
     def test_jobs_below_one_is_usage_error(self, data_csv, tmp_path, capsys, jobs, mode):

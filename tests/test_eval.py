@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import random_dataset, tied_integer_dataset
-from topclf import evaluation, experiment
+from topclf import experiment
 from topclf.data import Dataset, SplitSpec, split, synth_example
 from topclf.evaluation import (
     Counts,
@@ -16,9 +17,10 @@ from topclf.evaluation import (
     ptau_curve,
     write_curve_csv,
 )
-from topclf.solver import TrainConfig
+from topclf.objective import ObjectiveSpec
+from topclf.solver import TrainConfig, train
 from topclf.surrogate import HINGE
-from topclf.threshold import exact_quantile, scores
+from topclf.threshold import exact_quantile, rule_from_token, scores
 
 
 def dataset_from_scores(pos_scores, neg_scores):
@@ -55,24 +57,24 @@ def brute_pr_curve(w, d):
 class TestCounts:
     def test_all_zero_scores(self):
         d = random_dataset(np.random.default_rng(0))
-        c = counts(np.zeros(d.m), 0.0, d)
+        c = counts(scores(np.zeros(d.m), d), 0.0, d)
         assert (c.tp, c.fp, c.fn, c.tn, c.q) == (d.n_pos, d.n_neg, 0, 0, d.n)
 
     def test_mixed_case(self):
         d = dataset_from_scores([1.0, -1.0], [0.5, -0.5])
-        c = counts(W1, 0.0, d)
+        c = counts(scores(W1, d), 0.0, d)
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
 
     def test_nothing_above_max(self):
         d = dataset_from_scores([1.0, 2.0], [0.0])
-        c = counts(W1, 3.0, d)
+        c = counts(scores(W1, d), 3.0, d)
         assert c.tp == 0 and c.fp == 0
 
     def test_class_totals_invariant(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             d = random_dataset(rng, n=int(rng.integers(5, 30)))
-            c = counts(rng.uniform(-1, 1, d.m), float(rng.normal()), d)
+            c = counts(scores(rng.uniform(-1, 1, d.m), d), float(rng.normal()), d)
             assert c.tp + c.fn == d.n_pos
             assert c.tn + c.fp == d.n_neg
 
@@ -82,7 +84,7 @@ class TestCounts:
             d = random_dataset(rng, n=int(rng.integers(4, 13)))
             w = rng.uniform(-1, 1, d.m)
             t = float(rng.normal())
-            assert counts(w, t, d) == brute_counts(w, t, d)
+            assert counts(scores(w, d), t, d) == brute_counts(w, t, d)
 
 
 class TestPrecisionRecall:
@@ -101,12 +103,12 @@ class TestPrecisionRecall:
 class TestPtauCurve:
     def test_separated_data_has_unit_precision(self):
         d = dataset_from_scores([3.0, 2.0], [1.0, 0.0, -1.0])
-        pts = ptau_curve(W1, d, [0.2, 0.4])
+        pts = ptau_curve(scores(W1, d), d, [0.2, 0.4])
         assert all(p == 1.0 for _, p in pts)
 
     def test_tau_one_gives_base_rate(self):
         d = dataset_from_scores([3.0, 2.0], [1.0, 0.0, -1.0])
-        (_, p), = ptau_curve(W1, d, [1.0])
+        (_, p), = ptau_curve(scores(W1, d), d, [1.0])
         assert p == 2 / 5
 
     def test_shuffled_labels_hit_base_rate(self):
@@ -116,7 +118,7 @@ class TestPtauCurve:
         labels[rng.choice(n, n_pos, replace=False)] = True
         d = Dataset(rng.standard_normal((n, 1)), labels)
         p_base = n_pos / n
-        for tau, prec in ptau_curve(W1, d, [0.1, 0.3, 0.7]):
+        for tau, prec in ptau_curve(scores(W1, d), d, [0.1, 0.3, 0.7]):
             k = math.ceil(tau * n)
             sigma = math.sqrt(k * p_base * (1 - p_base) * (n - k) / (n - 1)) / k
             assert abs(prec - p_base) <= max(3 * sigma, 1e-9)
@@ -124,23 +126,23 @@ class TestPtauCurve:
     def test_taus_must_increase(self):
         d = dataset_from_scores([1.0], [0.0])
         with pytest.raises(ValueError, match="increasing"):
-            ptau_curve(W1, d, [0.5, 0.5])
+            ptau_curve(scores(W1, d), d, [0.5, 0.5])
 
 
 class TestPrCurve:
     def test_separated_contains_perfect_point(self):
         d = dataset_from_scores([3.0, 2.0], [1.0, 0.0])
-        assert (1.0, 1.0) in pr_curve(W1, d)
+        assert (1.0, 1.0) in pr_curve(scores(W1, d), d)
 
     def test_single_positive_ranked_last(self):
         d = dataset_from_scores([-5.0], [1.0, 2.0, 3.0])
-        pts = dict(pr_curve(W1, d))
+        pts = dict(pr_curve(scores(W1, d), d))
         assert pts[1.0] == 1 / 4
 
     def test_recalls_strictly_increasing(self):
         rng = np.random.default_rng(4)
         d = random_dataset(rng, n=25)
-        recalls = [r for r, _ in pr_curve(rng.uniform(-1, 1, d.m), d)]
+        recalls = [r for r, _ in pr_curve(scores(rng.uniform(-1, 1, d.m), d), d)]
         assert all(b > a for a, b in zip(recalls, recalls[1:]))
 
     def test_matches_brute_force(self):
@@ -148,14 +150,14 @@ class TestPrCurve:
         for _ in range(100):
             d = random_dataset(rng, n=20)
             w = rng.uniform(-1, 1, d.m)
-            assert pr_curve(w, d) == brute_pr_curve(w, d)
+            assert pr_curve(scores(w, d), d) == brute_pr_curve(w, d)
         for _ in range(100):
             # integer scores with many ties, zero weights and one-class data
             n = int(rng.integers(1, 30))
             z = rng.integers(-3, 4, n).astype(float)
             d = Dataset(z[:, None], rng.random(n) < rng.choice([0.0, 0.3, 1.0]))
             for w in (W1, np.zeros(1)):
-                got = pr_curve(w, d)
+                got = pr_curve(scores(w, d), d)
                 assert got == brute_pr_curve(w, d)
                 assert all(type(x) is float for point in got for x in point)
 
@@ -163,15 +165,15 @@ class TestPrCurve:
 class TestCriterion:
     def test_separated_positives_at_top(self):
         d = dataset_from_scores([3.0, 2.0], [1.0, 0.0])
-        assert criterion("positives_at_top", W1, d) == 1.0
+        assert criterion("positives_at_top", scores(W1, d), d) == 1.0
 
     def test_zero_weights_tie_everywhere(self):
         d = random_dataset(np.random.default_rng(6))
-        assert criterion("positives_at_quantile", np.zeros(d.m), d, 0.3) == 1.0
+        assert criterion("positives_at_quantile", scores(np.zeros(d.m), d), d, 0.3) == 1.0
 
     def test_boundary_negative_included(self):
         d = dataset_from_scores([3.0, 1.0], [2.0, 0.0])
-        assert criterion("positives_at_top", W1, d) == 0.5
+        assert criterion("positives_at_top", scores(W1, d), d) == 0.5
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(7)
@@ -179,7 +181,7 @@ class TestCriterion:
             for _ in range(50):
                 d = random_dataset(rng, n=30)
                 w = rng.uniform(-1, 1, d.m)
-                values = [criterion(kind, w, d, tau) for tau in (0.1, 0.3, 0.5, 0.9)]
+                values = [criterion(kind, scores(w, d), d, tau) for tau in (0.1, 0.3, 0.5, 0.9)]
                 assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_matches_brute_force_thresholds(self):
@@ -193,26 +195,26 @@ class TestCriterion:
             tau = float(rng.uniform(0.05, 0.95))
             t_top = max(z[i] for i in d.neg_idx)
             expect = sum(1 for i in d.pos_idx if z[i] >= t_top) / d.n_pos
-            assert criterion("positives_at_top", w, d) == expect
+            assert criterion("positives_at_top", scores(w, d), d) == expect
             t_q = exact_quantile(z, tau)
             expect = sum(1 for i in d.pos_idx if z[i] >= t_q) / d.n_pos
-            assert criterion("positives_at_quantile", w, d, tau) == expect
+            assert criterion("positives_at_quantile", scores(w, d), d, tau) == expect
 
     def test_requires_tau(self):
         d = dataset_from_scores([1.0], [0.0])
         with pytest.raises(ValueError, match="tau"):
-            criterion("positives_at_np", W1, d)
+            criterion("positives_at_np", scores(W1, d), d)
 
     @pytest.mark.parametrize("tau", [0.0, -0.1, 1.5])
     def test_tau_outside_unit_interval_rejected(self, tau):
         d = dataset_from_scores([1.0], [0.0])
         for kind in ("positives_at_quantile", "positives_at_np"):
             with pytest.raises(ValueError, match=r"\(0, 1\]"):
-                criterion(kind, W1, d, tau)
+                criterion(kind, scores(W1, d), d, tau)
 
     def test_tau_one_is_the_whole_pool(self):
         d = dataset_from_scores([3.0, -1.0], [0.0, 1.0])
-        assert criterion("positives_at_quantile", W1, d, 1.0) == 1.0
+        assert criterion("positives_at_quantile", scores(W1, d), d, 1.0) == 1.0
 
 
 class TestQuantileCountIdentity:
@@ -227,7 +229,7 @@ class TestQuantileCountIdentity:
             d = tied_integer_dataset(rng, n, tau)
             z = scores(W1, d)
             t = exact_quantile(z, tau)
-            c = counts(W1, t, d)
+            c = counts(scores(W1, d), t, d)
             assert c.q >= 2
             assert c.tp + c.fp == n * tau + c.q - 1
             for alpha in alphas:
@@ -268,14 +270,16 @@ class TestReport:
 
 
 def counting_scores(monkeypatch):
-    """Wrap ``topclf.evaluation.scores`` and return the list its calls append to."""
+    """Wrap ``scores`` in every topclf module that holds it; return the datasets it scores."""
     calls = []
 
     def counted(w, d):
         calls.append(d)
         return scores(w, d)
 
-    monkeypatch.setattr(evaluation, "scores", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "topclf" and vars(module).get("scores") is scores:
+            monkeypatch.setattr(module, "scores", counted)
     return calls
 
 
@@ -291,10 +295,21 @@ class TestScorePasses:
         parts = split(synth_example(40, seed=1), SplitSpec(seed=2))
         cfg = TrainConfig(iterations=3)
         task = ("synth", "patmat", 0.2, HINGE, cfg, [0.1, 0.3], {"beta": 1.0, "lambda": 0.0})
+        # training and f(w) score the training split on their own; stub them to see the criteria
+        spec = ObjectiveSpec(rule=rule_from_token("patmat", tau=0.2, beta=1.0))
+        model = train(spec, parts[0], cfg)
+        monkeypatch.setattr(experiment, "train", lambda spec, d, cfg: model)
+        monkeypatch.setattr(experiment, "objective", lambda spec, w, d: 0.0)
         calls = counting_scores(monkeypatch)
         record = experiment._run_point(task, parts)
         assert [id(d) for d in calls] == [id(d) for d in parts]
         assert set(record.criteria) == {"train", "valid", "test"}
+
+    def test_worked_example_scores_each_point_once(self, monkeypatch):
+        calls = counting_scores(monkeypatch)
+        rows = experiment.reproduce_worked_example(n=1000, methods=("toppush", "patmat"))
+        assert len(rows) == 4
+        assert len(calls) == len(rows)
 
     def test_report_matches_brute_force(self):
         rng = np.random.default_rng(14)

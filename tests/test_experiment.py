@@ -448,6 +448,23 @@ class TestManifestKeys:
             (("train", "adam"), 0.01, "train.adam must be a JSON object"),
             (("split",), None, "split must be a JSON object"),
             (("select",), "positives_at_top", "select must be a JSON object"),
+            (("methods", 0, "method"), ["toppush"], r"methods\[0\]\.method must be a JSON string"),
+            (("methods", 1, "tau"), "0.1", r"methods\[1\]\.tau must be a JSON number"),
+            (("methods", 1, "tau"), True, r"methods\[1\]\.tau must be a JSON number"),
+            (("grid", "betas"), ["a"], r"grid\.betas\[0\] must be a JSON number"),
+            (("grid", "lambdas"), [0.0, "a"], r"grid\.lambdas\[1\] must be a JSON number"),
+            (("grid", "ks"), [1.5], r"grid\.ks\[0\] must be a JSON integer"),
+            (("grid", "ks"), [True], r"grid\.ks\[0\] must be a JSON integer"),
+            (("datasets", 0, "n"), "30", r"datasets\[0\]\.n must be a JSON integer"),
+            (("datasets", 0, "seed"), "x", r"datasets\[0\]\.seed must be a JSON integer"),
+            (("datasets",), [dict(CSV_ENTRY, path=1)], r"\[0\]\.path must be a JSON string"),
+            (("datasets",), [dict(CSV_ENTRY, label=None)], r"\[0\]\.label must be a JSON string"),
+            (("datasets",), [dict(CSV_ENTRY, pos=1)], r"\[0\]\.pos must be a JSON string"),
+            (("datasets",), [dict(LIBSVM_ENTRY, path=["l"])], r"\[0\]\.path must be a JSON string"),
+            (("train", "seed"), 1.5, r"train\.seed must be a JSON integer"),
+            (("train", "seed"), False, r"train\.seed must be a JSON integer"),
+            (("train", "n_minibatch"), 1.5, r"train\.n_minibatch must be a JSON integer"),
+            (("split", "seed"), 1.5, r"split\.seed must be a JSON integer"),
         ],
     )
     def test_wrong_json_type_rejected_before_loading(

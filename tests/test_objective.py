@@ -11,9 +11,9 @@ from helpers import (
     random_dataset,
 )
 from topclf.data import Dataset, synth_example
-from topclf.objective import ObjectiveSpec, evaluate, gradient, objective
+from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
-from topclf.threshold import ThresholdRule, scores, threshold
+from topclf.threshold import ThresholdRule, scores, threshold_scored
 
 CONVEX_KINDS = [
     "top_push",
@@ -79,14 +79,14 @@ class TestGradient:
         d = Dataset(np.array([[10.0], [0.0]]), [True, False])
         spec = make_spec("top_push", lam=0.5)
         w = np.array([1.0])
-        np.testing.assert_allclose(gradient(spec, w, d), 0.5 * w)
+        np.testing.assert_allclose(evaluate(spec, w, d)[1], 0.5 * w)
 
     def test_hand_expanded_top_push_at_zero(self):
         rng = np.random.default_rng(2)
         features = rng.standard_normal((6, 3))
         labels = np.array([True] * 5 + [False])
         d = Dataset(features, labels)
-        g = gradient(make_spec("top_push"), np.zeros(3), d)
+        g = evaluate(make_spec("top_push"), np.zeros(3), d)[1]
         x_neg = features[5]
         expected = (x_neg - features[:5]).mean(axis=0)
         np.testing.assert_allclose(g, expected, atol=1e-12)
@@ -105,7 +105,7 @@ class TestGradient:
             if not is_stable(lambda v: objective_pattern(spec, v, d), w, h):
                 continue
             stable += 1
-            g = gradient(spec, w, d)
+            g = evaluate(spec, w, d)[1]
             fd = central_diff(lambda v: objective(spec, v, d), w, h)
             if np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g)):
                 matched += 1
@@ -119,8 +119,8 @@ class TestGradient:
         w = rng.uniform(-1, 1, d.m)
         value, grad, tres = evaluate(spec, w, d)
         assert value == objective(spec, w, d)
-        np.testing.assert_array_equal(grad, gradient(spec, w, d))
-        assert tres.t == threshold(spec.rule, w, d).t
+        np.testing.assert_array_equal(grad, evaluate(spec, w, d)[1])
+        assert tres.t == threshold_scored(spec.rule, scores(w, d), d).t
 
 
 class TestConvexityOfObjective:
@@ -147,7 +147,7 @@ class TestZeroMinimumConditions:
         for _ in range(300):
             d = random_dataset(rng)
             w = rng.uniform(-1, 1, d.m)
-            t = threshold(spec.rule, w, d).t
+            t = threshold_scored(spec.rule, scores(w, d), d).t
             pos_mean = scores(w, d)[d.pos_idx].mean()
             if t >= pos_mean:
                 conditioned += 1
@@ -168,7 +168,7 @@ class TestZeroMinimumConditions:
 
     @pytest.mark.parametrize("kind", TOP_K_KINDS)
     def test_score_mean_implications(self, kind):
-        # hypothesis stated on sorted scores, independently of threshold()
+        # hypothesis stated on sorted scores, independently of threshold_scored()
         rng = np.random.default_rng(19)
         tau = 0.4
         k = 2

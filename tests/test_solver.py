@@ -6,7 +6,7 @@ import pytest
 
 from helpers import central_diff, random_dataset
 from topclf.data import Dataset, minibatch_epoch, synth_example
-from topclf.objective import ObjectiveSpec, gradient, objective
+from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.solver import (
     AdamParams,
     AdamState,
@@ -17,7 +17,7 @@ from topclf.solver import (
     train,
 )
 from topclf.surrogate import QUADRATIC_HINGE
-from topclf.threshold import ThresholdRule, rule_from_token, threshold
+from topclf.threshold import ThresholdRule, rule_from_token, scores, threshold_scored
 
 
 def toppush_spec(lam=0.0):
@@ -125,7 +125,7 @@ class TestTrain:
         d = random_dataset(np.random.default_rng(3), n=40)
         cfg = TrainConfig(iterations=30, n_minibatch=2, seed=1)
         model = train(toppush_spec(), d, cfg)
-        assert model.t_final == threshold(model.spec.rule, model.w, d).t
+        assert model.t_final == threshold_scored(model.spec.rule, scores(model.w, d), d).t
 
     def test_exact_iteration_count(self):
         d = random_dataset(np.random.default_rng(4))
@@ -167,7 +167,7 @@ class TestTrain:
         spec = ObjectiveSpec(rule=ThresholdRule("top_push_k", k=2), lam=0.01)
         w = rng.uniform(-1, 1, 3)
         fd = central_diff(lambda v: objective(spec, v, chunk), w)
-        np.testing.assert_allclose(gradient(spec, w, chunk), fd, atol=1e-5)
+        np.testing.assert_allclose(evaluate(spec, w, chunk)[1], fd, atol=1e-5)
 
     def test_non_finite_objective_aborts(self):
         d = Dataset(np.array([[-1e200], [1e200]]), [True, False])

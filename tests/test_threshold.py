@@ -23,7 +23,6 @@ from topclf.threshold import (
     rule_from_token,
     scores,
     surrogate_quantile,
-    threshold,
     threshold_scored,
     top_k_mean,
 )
@@ -199,8 +198,8 @@ class TestRuleValidation:
         for _ in range(20):
             d = random_dataset(rng)
             w = rng.uniform(-1, 1, d.m)
-            a = threshold(ThresholdRule("top_push"), w, d)
-            b = threshold(ThresholdRule("top_push_k", k=1), w, d)
+            a = threshold_scored(ThresholdRule("top_push"), scores(w, d), d)
+            b = threshold_scored(ThresholdRule("top_push_k", k=1), scores(w, d), d)
             assert a.t == b.t
             assert np.array_equal(a.support, b.support)
 
@@ -224,14 +223,14 @@ class TestRuleValidation:
 class TestDispatch:
     def test_top_push_finds_outlier(self):
         d = synth_example(500, seed=2)
-        res = threshold(ThresholdRule("top_push"), np.array([1.0, 0.0]), d)
+        res = threshold_scored(ThresholdRule("top_push"), scores(np.array([1.0, 0.0]), d), d)
         assert res.t == 2.0
         assert d.features[res.support[0]].tolist() == [2.0, 0.0]
 
     def test_surrogate_quantile_at_zero_weights(self):
         d = random_dataset(np.random.default_rng(1), n=40, m=3)
         rule = ThresholdRule("surrogate_quantile", tau=0.25, beta=0.5)
-        res = threshold(rule, np.zeros(3), d)
+        res = threshold_scored(rule, scores(np.zeros(3), d), d)
         assert res.t == pytest.approx((1 - 0.25) / 0.5, abs=1e-12)
         grad_t = res.weights @ d.features[res.support]
         np.testing.assert_allclose(grad_t, d.features.mean(axis=0))
@@ -240,7 +239,7 @@ class TestDispatch:
         features = np.array([[3.0], [1.0], [2.0], [9.0]])
         labels = np.array([False, False, False, True])
         d = Dataset(features, labels)
-        res = threshold(ThresholdRule("top_push_k", k=2), np.array([1.0]), d)
+        res = threshold_scored(ThresholdRule("top_push_k", k=2), scores(np.array([1.0]), d), d)
         assert res.t == 2.5
         grad_t = res.weights @ d.features[res.support]
         np.testing.assert_allclose(grad_t, [(3.0 + 2.0) / 2])
@@ -248,7 +247,7 @@ class TestDispatch:
     def test_quantile_gradient_is_zero(self):
         d = random_dataset(np.random.default_rng(2))
         for kind in ("quantile", "quantile_np"):
-            res = threshold(make_rule(kind), np.ones(d.m), d)
+            res = threshold_scored(make_rule(kind), scores(np.ones(d.m), d), d)
             assert np.all(res.weights @ d.features[res.support] == 0.0)
             assert res.support.size >= 1
 
@@ -256,19 +255,19 @@ class TestDispatch:
         features = np.array([[100.0], [0.0], [1.0], [2.0]])
         labels = np.array([True, False, False, False])
         d = Dataset(features, labels)
-        res = threshold(ThresholdRule("top_mean_np", tau=0.5), np.array([1.0]), d)
+        res = threshold_scored(ThresholdRule("top_mean_np", tau=0.5), scores(np.array([1.0]), d), d)
         # ceil(3 * 0.5) = 2 largest negative scores: 2 and 1
         assert res.t == 1.5
 
     def test_k_exceeding_negatives(self):
         d = random_dataset(np.random.default_rng(3), n=10)
         with pytest.raises(ValueError, match="exceeds"):
-            threshold(ThresholdRule("top_push_k", k=d.n_neg + 1), np.ones(d.m), d)
+            threshold_scored(ThresholdRule("top_push_k", k=d.n_neg + 1), scores(np.ones(d.m), d), d)
 
     def test_tau_pool_too_small(self):
         d = random_dataset(np.random.default_rng(4), n=12)
         with pytest.raises(ValueError, match="tau"):
-            threshold(ThresholdRule("top_mean", tau=0.01), np.ones(d.m), d)
+            threshold_scored(ThresholdRule("top_mean", tau=0.01), scores(np.ones(d.m), d), d)
 
 
 class TestConvexityAndScaling:
@@ -281,8 +280,10 @@ class TestConvexityAndScaling:
             w1 = rng.uniform(-1, 1, d.m)
             w2 = rng.uniform(-1, 1, d.m)
             lam = float(rng.uniform(0, 1))
-            mix = threshold(rule, lam * w1 + (1 - lam) * w2, d).t
-            bound = lam * threshold(rule, w1, d).t + (1 - lam) * threshold(rule, w2, d).t
+            mix = threshold_scored(rule, scores(lam * w1 + (1 - lam) * w2, d), d).t
+            t1 = threshold_scored(rule, scores(w1, d), d).t
+            t2 = threshold_scored(rule, scores(w2, d), d).t
+            bound = lam * t1 + (1 - lam) * t2
             assert mix <= bound + 1e-9
 
     @pytest.mark.parametrize(
@@ -295,8 +296,8 @@ class TestConvexityAndScaling:
             d = random_dataset(rng)
             w = rng.uniform(-1, 1, d.m)
             c = float(rng.uniform(0.1, 5.0))
-            t1 = threshold(rule, w, d).t
-            tc = threshold(rule, c * w, d).t
+            t1 = threshold_scored(rule, scores(w, d), d).t
+            tc = threshold_scored(rule, scores(c * w, d), d).t
             assert tc == pytest.approx(c * t1, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["quantile", "quantile_np"])
@@ -309,7 +310,9 @@ class TestConvexityAndScaling:
             L = float(np.linalg.norm(d.features[pool], axis=1).max())
             w1 = rng.uniform(-2, 2, d.m)
             w2 = rng.uniform(-2, 2, d.m)
-            dt = abs(threshold(rule, w1, d).t - threshold(rule, w2, d).t)
+            t1 = threshold_scored(rule, scores(w1, d), d).t
+            t2 = threshold_scored(rule, scores(w2, d), d).t
+            dt = abs(t1 - t2)
             assert dt <= L * np.linalg.norm(w1 - w2) + 1e-12
 
 
@@ -325,7 +328,7 @@ def all_thresholds(w, d, k, tau, beta):
         "top_mean",
         "top_mean_np",
     ):
-        out[kind] = threshold(make_rule(kind, k=k, tau=tau, beta=beta), w, d).t
+        out[kind] = threshold_scored(make_rule(kind, k=k, tau=tau, beta=beta), scores(w, d), d).t
     return out
 
 
@@ -380,8 +383,8 @@ class TestOrderings:
         d = Dataset(features, labels)
         w = np.array([1.0])
         tau = 0.3
-        t_q = threshold(make_rule("quantile", tau=tau), w, d).t
-        t_np = threshold(make_rule("quantile_np", tau=tau), w, d).t
+        t_q = threshold_scored(make_rule("quantile", tau=tau), scores(w, d), d).t
+        t_np = threshold_scored(make_rule("quantile_np", tau=tau), scores(w, d), d).t
         z = scores(w, d)
         zp = np.sort(z[d.pos_idx])[::-1]
         zn = np.sort(z[d.neg_idx])[::-1]
@@ -406,9 +409,9 @@ class TestThresholdGradient:
             if not is_stable(lambda v: active_pattern(rule, v, d, loss), w, h):
                 continue
             stable_checked += 1
-            res = threshold(rule, w, d, loss)
+            res = threshold_scored(rule, scores(w, d), d, loss)
             grad = res.weights @ d.features[res.support]
-            fd = central_diff(lambda v: threshold(rule, v, d, loss).t, w, h)
+            fd = central_diff(lambda v: threshold_scored(rule, scores(v, d), d, loss).t, w, h)
             if np.linalg.norm(fd - grad) <= 1e-4 * max(1.0, np.linalg.norm(grad)):
                 matched += 1
         assert stable_checked == 40
@@ -417,7 +420,8 @@ class TestThresholdGradient:
     def test_support_feature_mean_for_top_k(self):
         rng = np.random.default_rng(43)
         d = random_dataset(rng, n=25, m=3)
-        res = threshold(ThresholdRule("top_push_k", k=3), rng.uniform(-1, 1, 3), d)
+        z = scores(rng.uniform(-1, 1, 3), d)
+        res = threshold_scored(ThresholdRule("top_push_k", k=3), z, d)
         grad_t = res.weights @ d.features[res.support]
         np.testing.assert_allclose(grad_t, d.features[res.support].mean(axis=0))
 
