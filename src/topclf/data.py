@@ -54,7 +54,7 @@ class Dataset:
             raise ValueError(
                 f"labels shape {labels.shape} does not match {feats.shape[0]} rows"
             )
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise ValueError("features contain non-finite entries")
         feats.setflags(write=False)
         labels.setflags(write=False)

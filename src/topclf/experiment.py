@@ -318,16 +318,29 @@ _DATASET_KEYS = {
 # JSON type of each value in a section or entry, beyond the section types
 _LEAF_TYPES = {
     "datasets": {
-        "n": "integer", "seed": "integer", "path": "string", "label": "string", "pos": "string",
+        "name": "string", "n": "integer", "seed": "integer",
+        "path": "string", "label": "string", "pos": "string",
     },
     "grid": {"betas": "number", "lambdas": "number", "ks": "integer"},
     "methods": {"tau": "number"},
-    "split": {"seed": "integer"},
-    "train": {"seed": "integer", "n_minibatch": "integer"},
+    "split": {
+        "train_frac": "number", "valid_frac": "number", "test_frac": "number",
+        "seed": "integer", "stratified": "boolean",
+    },
+    "train": {
+        "iterations": "integer", "n_minibatch": "integer", "seed": "integer",
+        "project_unit_ball": "boolean or null",
+    },
+    "train.adam": {
+        "step_size": "number", "beta1": "number", "beta2": "number", "epsilon": "number",
+    },
 }
 # JSON type: the Python types json.loads gives it; a JSON boolean loads as a
 # bool, which subclasses int, yet is neither a number nor an integer
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+_JSON_TYPES = {
+    "object": (dict,), "array": (list,), "string": (str,), "number": (int, float),
+    "integer": (int,), "boolean": (bool,), "boolean or null": (bool, type(None)),
+}
 
 
 class ManifestError(ValueError):
@@ -336,7 +349,8 @@ class ManifestError(ValueError):
 
 def _check_type(value, kind: str, where: str) -> None:
     """Raise unless ``value`` has the JSON type ``kind``, a key of ``_JSON_TYPES``."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+    types = _JSON_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ManifestError(f"{where} must be a JSON {kind}")
 
 
@@ -376,6 +390,7 @@ def _check_manifest(manifest: dict) -> None:
     ):
         _check_keys(doc, where, (), [f.name for f in dataclasses.fields(cls)])
     _check_leaves(train, "train", "train")
+    _check_leaves(train.get("adam", {}), "train.adam", "train.adam")
     _check_leaves(manifest.get("split", {}), "split", "split")
     for axis, values in manifest.get("grid", {}).items():
         _check_type(values, "array", f"grid.{axis}")

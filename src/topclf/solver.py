@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -143,7 +144,7 @@ def adam_step(
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != state.m.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match state")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
     step = state.step + 1
     m = params.beta1 * state.m + (1.0 - params.beta1) * grad
@@ -156,7 +157,7 @@ def adam_step(
 
 def project_l2_ball(w: np.ndarray) -> np.ndarray:
     """w scaled back onto the unit l2 ball if it lies outside."""
-    norm = float(np.linalg.norm(w))
+    norm = math.sqrt(float(w @ w))
     if norm <= 1.0:
         return w
     return w / norm
@@ -190,11 +191,13 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
         else:
             pos = it % cfg.n_minibatch
             if pos == 0:
+                # release the old epoch's rows before gathering the next one
+                batch_data = batch = None
                 epoch = it // cfg.n_minibatch
                 batch_data = minibatches(d_train, cfg.n_minibatch, cfg.seed, epoch)
             batch = batch_data[pos]
         value, grad, _ = evaluate(spec, w, batch)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise FloatingPointError(
                 f"objective became non-finite at iteration {it} (value {value!r})"
             )
@@ -203,7 +206,7 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
         if project:
             w = project_l2_ball(w)
         objective_trace[it] = value
-        norm_trace[it] = np.linalg.norm(w)
+        norm_trace[it] = math.sqrt(float(w @ w))
         ms_trace[it] = (time.perf_counter() - tic) * 1e3
 
     t_final = threshold_scored(spec.rule, scores(w, d_train), d_train, spec.loss).t

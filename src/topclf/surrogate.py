@@ -41,7 +41,7 @@ class SurrogateLoss:
 
 def _require_finite(z):
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("surrogate loss input must be finite")
     return z
 

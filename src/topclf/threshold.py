@@ -140,7 +140,7 @@ def scores(w: np.ndarray, d: Dataset) -> np.ndarray:
     if w.shape != (d.m,):
         raise ValueError(f"weight shape {w.shape} does not match {d.m} features")
     z = d.features @ w
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("scores are not finite")
     return z
 

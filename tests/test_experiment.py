@@ -465,6 +465,22 @@ class TestManifestKeys:
             (("train", "seed"), False, r"train\.seed must be a JSON integer"),
             (("train", "n_minibatch"), 1.5, r"train\.n_minibatch must be a JSON integer"),
             (("split", "seed"), 1.5, r"split\.seed must be a JSON integer"),
+            (("datasets", 0, "name"), ["s"], r"datasets\[0\]\.name must be a JSON string"),
+            (("train", "iterations"), 1.5, r"train\.iterations must be a JSON integer"),
+            (("train", "iterations"), True, r"train\.iterations must be a JSON integer"),
+            (("train", "adam", "step_size"), True, r"train\.adam\.step_size must be a JSON number"),
+            (("train", "adam", "beta1"), "0.9", r"train\.adam\.beta1 must be a JSON number"),
+            (("train", "adam", "beta2"), None, r"train\.adam\.beta2 must be a JSON number"),
+            (("train", "adam", "epsilon"), [1e-8], r"train\.adam\.epsilon must be a JSON number"),
+            (("split", "train_frac"), "0.5", r"split\.train_frac must be a JSON number"),
+            (("split", "valid_frac"), False, r"split\.valid_frac must be a JSON number"),
+            (("split", "test_frac"), None, r"split\.test_frac must be a JSON number"),
+            (("split", "stratified"), "no", r"split\.stratified must be a JSON boolean"),
+            (("split", "stratified"), 0, r"split\.stratified must be a JSON boolean"),
+            (
+                ("train", "project_unit_ball"), "no",
+                r"train\.project_unit_ball must be a JSON boolean or null",
+            ),
         ],
     )
     def test_wrong_json_type_rejected_before_loading(
@@ -486,6 +502,14 @@ class TestManifestKeys:
             run_manifest(manifest, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("project", [False, None])
+    def test_json_booleans_accepted(self, tmp_path, project):
+        manifest = small_manifest()
+        manifest["split"]["stratified"] = False
+        manifest["train"]["project_unit_ball"] = project
+        run_manifest(manifest, tmp_path / "out")
+        assert (tmp_path / "out" / "run_records.json").exists()
+
     def test_bad_criteria_tau_rejected(self, tmp_path):
         manifest = small_manifest()
         manifest["criteria_taus"] = [0.2, 1.5]
@@ -503,7 +527,7 @@ class TestManifestKeys:
         "section, value, message",
         [
             ("train", {"iterations": 0}, "iterations must be positive"),
-            ("train", {"iterations": "5"}, "not supported between"),
+            ("train", {"iterations": "5"}, r"train\.iterations must be a JSON integer"),
             ("train", {"n_minibatch": 0}, "n_minibatch must be positive"),
             ("train", {"init": "ones"}, "init must be 'zeros' or 'uniform'"),
             ("train", {"adam": {"step_size": -1.0}}, "step_size must be non-negative"),

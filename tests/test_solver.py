@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -175,6 +176,19 @@ class TestTrain:
         cfg = TrainConfig(iterations=3, init="uniform", seed=0)
         with np.errstate(over="ignore"), pytest.raises((FloatingPointError, ValueError)):
             train(spec, d, cfg)
+
+    def test_minibatch_training_holds_one_epoch_copy(self):
+        # each epoch gathers one shuffled copy of the rows; the previous
+        # epoch's copy must be released before the next one is gathered
+        d = random_dataset(np.random.default_rng(8), n=20_000, m=30)
+        cfg = TrainConfig(iterations=12, n_minibatch=4, seed=0)
+        tracemalloc.start()
+        try:
+            train(toppush_spec(), d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d.features.nbytes
 
 
 class TestModelSerialization:

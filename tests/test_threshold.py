@@ -66,6 +66,11 @@ class TestScores:
         with pytest.raises(ValueError, match="shape"):
             scores(np.zeros(4), d)
 
+    def test_overflowing_product_rejected(self):
+        d = Dataset(np.array([[1e200, 1e200], [1.0, 0.0]]), [True, False])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scores are not finite"):
+            scores(np.array([1e200, 0.0]), d)
+
 
 class TestTopKMean:
     def test_mean_of_two_largest(self):
