@@ -120,7 +120,7 @@ def cmd_eval(args, parser, curves_only: bool = False) -> int:
     write_curve_csv(report.pr_curve, out / "pr_curve.csv", ("recall", "precision"))
     write_curve_csv(report.ptau_curve, out / "ptau_curve.csv", ("tau", "precision"))
     if not curves_only:
-        report.to_json(out / "report.json")
+        write_json(out / "report.json", report.to_dict())
         print(f"wrote {out / 'report.json'}")
     else:
         print(f"wrote {out / 'pr_curve.csv'}")

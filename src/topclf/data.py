@@ -273,6 +273,16 @@ def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
 
 
+# a manifest datasets entry, by format: the JSON layout of every key it may
+# hold (see experiment._check) and the keys it requires
+_ENTRY = {"name": str, "format": str}
+DATASET_ENTRIES = {
+    "synth": ({**_ENTRY, "n": int, "seed": int}, ("name", "n")),
+    "csv": ({**_ENTRY, "path": str, "label": str, "pos": str}, ("name", "path", "label", "pos")),
+    "libsvm": ({**_ENTRY, "path": str}, ("name", "path")),
+}
+
+
 def load_dataset(entry: dict) -> Dataset:
     """The dataset a manifest ``datasets`` entry names, loaded by its ``format`` (default csv)."""
     kind = entry.get("format", "csv")

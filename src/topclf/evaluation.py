@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, write_csv, write_json
+from .data import Dataset, write_csv
 from .threshold import exact_quantile, scores
 
 __all__ = [
@@ -55,9 +55,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         # shallow on purpose: a deep asdict copies every curve point
         return {**vars(self), "counts": asdict(self.counts)}
-
-    def to_json(self, path) -> None:
-        write_json(path, self.to_dict())
 
 
 def counts(z: np.ndarray, t: float, d: Dataset) -> Counts:

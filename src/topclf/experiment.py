@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import statistics
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +27,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Dataset, SplitSpec, check_minibatches, load_dataset, split, synth_example
-from .data import write_csv, write_json
+from .data import DATASET_ENTRIES, Dataset, SplitSpec, check_minibatches, load_dataset, split
+from .data import synth_example, write_csv, write_json
 from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, evaluate, objective
 from .solver import AdamParams, Model, TrainConfig, train
@@ -308,118 +311,83 @@ def reproduce_worked_example(
 
 
 _REQUIRED_KEYS = ("datasets", "methods", "select")
-_OPTIONAL_KEYS = ("grid", "train", "split", "criteria_taus", "loss")
-# dataset format: (keys an entry requires besides name, keys it may add besides format)
-_DATASET_KEYS = {
-    "synth": (("n",), ("seed",)),
-    "csv": (("path", "label", "pos"), ()),
-    "libsvm": (("path",), ()),
+# the manifest's JSON layout, as _check reads it
+_MANIFEST = {
+    "datasets": list[dict], "methods": list[dict],
+    "select": {"criterion": str, "tau": float | None},
+    "grid": Grid, "train": TrainConfig, "split": SplitSpec,
+    "criteria_taus": list[float], "loss": str,
 }
-# JSON type of each value in a section or entry, beyond the section types
-_LEAF_TYPES = {
-    "datasets": {
-        "name": "string", "n": "integer", "seed": "integer",
-        "path": "string", "label": "string", "pos": "string",
-    },
-    "grid": {"betas": "number", "lambdas": "number", "ks": "integer"},
-    "methods": {"tau": "number"},
-    "split": {
-        "train_frac": "number", "valid_frac": "number", "test_frac": "number",
-        "seed": "integer", "stratified": "boolean",
-    },
-    "train": {
-        "iterations": "integer", "n_minibatch": "integer", "seed": "integer",
-        "project_unit_ball": "boolean or null",
-    },
-    "train.adam": {
-        "step_size": "number", "beta1": "number", "beta2": "number", "epsilon": "number",
-    },
+# JSON type and json.loads types of each plain layout; a JSON boolean loads as
+# a bool, which subclasses int, yet is neither a number nor an integer
+_JSON_KINDS = {
+    dict: ("object", (dict,)), list: ("array", (list,)), tuple: ("array", (list,)),
+    str: ("string", (str,)), float: ("number", (int, float)), int: ("integer", (int,)),
+    bool: ("boolean", (bool,)),
 }
-# JSON type: the Python types json.loads gives it; a JSON boolean loads as a
-# bool, which subclasses int, yet is neither a number nor an integer
-_JSON_TYPES = {
-    "object": (dict,), "array": (list,), "string": (str,), "number": (int, float),
-    "integer": (int,), "boolean": (bool,), "boolean or null": (bool, type(None)),
-}
+# the layout of a dataclass: the type hint of each field, resolved once
+_field_types = functools.cache(typing.get_type_hints)
 
 
 class ManifestError(ValueError):
     """A bad manifest key or value, an infeasible grid point or jobs < 1."""
 
 
-def _check_type(value, kind: str, where: str) -> None:
-    """Raise unless ``value`` has the JSON type ``kind``, a key of ``_JSON_TYPES``."""
-    types = _JSON_TYPES[kind]
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ManifestError(f"{where} must be a JSON {kind}")
+def _check(value, layout, where: str = "", required=()) -> None:
+    """Raise ManifestError unless ``value`` is JSON laid out as ``layout``.
 
-
-def _check_leaves(doc: dict, section: str, where: str) -> None:
-    """Check each value of ``doc`` that ``_LEAF_TYPES[section]`` types."""
-    for key, kind in _LEAF_TYPES[section].items():
-        if key in doc:
-            _check_type(doc[key], kind, f"{where}.{key}")
-
-
-def _check_keys(doc: dict, where: str, required, optional) -> None:
-    _check_type(doc, "object", where)
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ManifestError(f"missing manifest key {missing[0]!r} in {where}")
-    allowed = (*required, *optional)
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ManifestError(
-            f"unknown manifest key {unknown[0]!r} in {where}; "
-            f"expected one of {sorted(allowed)}"
-        )
+    A dataclass lays out an object of its fields, a dict an object of those
+    keys with ``required`` among them, ``list[T]`` or ``tuple[T, ...]`` an
+    array of T, ``X | None`` an X or null, and dict, str, float, int or bool
+    that JSON type.  ``where`` names ``value`` in errors; empty is the manifest.
+    """
+    at = where or "the manifest"
+    arms = typing.get_args(layout) if isinstance(layout, types.UnionType) else (layout,)
+    nullable = type(None) in arms
+    if value is None and nullable:
+        return
+    layout = _field_types(arms[0]) if dataclasses.is_dataclass(arms[0]) else arms[0]
+    kind = dict if isinstance(layout, dict) else typing.get_origin(layout) or layout
+    name, py_types = _JSON_KINDS[kind]
+    if not isinstance(value, py_types) or (isinstance(value, bool) and bool not in py_types):
+        raise ManifestError(f"{at} must be a JSON {name}{' or null' if nullable else ''}")
+    if isinstance(layout, dict):
+        missing = [key for key in required if key not in value]
+        if missing:
+            raise ManifestError(f"missing manifest key {missing[0]!r} in {at}")
+        unknown = sorted(set(value) - set(layout))
+        if unknown:
+            raise ManifestError(
+                f"unknown manifest key {unknown[0]!r} in {at}; expected one of {sorted(layout)}"
+            )
+        for key, item in value.items():
+            _check(item, layout[key], f"{where}.{key}" if where else key)
+    elif typing.get_origin(layout) in (list, tuple):
+        for j, item in enumerate(value):
+            _check(item, typing.get_args(layout)[0], f"{where}[{j}]")
 
 
 def _check_manifest(manifest: dict) -> None:
-    _check_keys(manifest, "the manifest", _REQUIRED_KEYS, _OPTIONAL_KEYS)
-    for key in ("datasets", "methods", "criteria_taus"):
-        _check_type(manifest.get(key, []), "array", key)
-    train = manifest.get("train", {})
-    _check_type(train, "object", "train")
-    # sections that load with cls(**doc) take exactly the dataclass fields
-    for where, doc, cls in (
-        ("grid", manifest.get("grid", {}), Grid),
-        ("train", train, TrainConfig),
-        ("train.adam", train.get("adam", {}), AdamParams),
-        ("split", manifest.get("split", {}), SplitSpec),
-    ):
-        _check_keys(doc, where, (), [f.name for f in dataclasses.fields(cls)])
-    _check_leaves(train, "train", "train")
-    _check_leaves(train.get("adam", {}), "train.adam", "train.adam")
-    _check_leaves(manifest.get("split", {}), "split", "split")
-    for axis, values in manifest.get("grid", {}).items():
-        _check_type(values, "array", f"grid.{axis}")
-        for j, value in enumerate(values):
-            _check_type(value, _LEAF_TYPES["grid"][axis], f"grid.{axis}[{j}]")
-    _check_keys(manifest["select"], "select", (), ("criterion", "tau"))
+    _check(manifest, _MANIFEST, required=_REQUIRED_KEYS)
     for i, entry in enumerate(manifest["datasets"]):
-        _check_type(entry, "object", f"datasets[{i}]")
         fmt = entry.get("format", "csv")
-        if not isinstance(fmt, str) or fmt not in _DATASET_KEYS:
+        if not isinstance(fmt, str) or fmt not in DATASET_ENTRIES:
             raise ManifestError(f"unknown dataset format {fmt!r} in datasets[{i}]")
-        required, optional = _DATASET_KEYS[fmt]
-        _check_keys(entry, f"datasets[{i}]", ("name", *required), ("format", *optional))
-        _check_leaves(entry, "datasets", f"datasets[{i}]")
+        layout, required = DATASET_ENTRIES[fmt]
+        _check(entry, layout, f"datasets[{i}]", required)
         if entry["name"] in [prev["name"] for prev in manifest["datasets"][:i]]:
             raise ManifestError(f"datasets[{i}]: dataset name {entry['name']!r} is taken")
     for i, entry in enumerate(manifest["methods"]):
-        _check_type(entry, "object", f"methods[{i}]")
-        _check_type(entry.get("method", ""), "string", f"methods[{i}].method")
+        _check(entry.get("method", ""), str, f"methods[{i}].method")
         try:
             params = method_params(entry["method"]) if "method" in entry else ()
         except ValueError as exc:
             raise ManifestError(f"methods[{i}]: {exc}") from None
         # k and beta are swept by the grid; tau fixes the method instance
-        takes_tau = "tau" in params
-        _check_keys(entry, f"methods[{i}]", ("method",), ("tau",) if takes_tau else ())
-        if takes_tau and "tau" not in entry:
+        layout = {"method": str, "tau": float} if "tau" in params else {"method": str}
+        _check(entry, layout, f"methods[{i}]", ("method",))
+        if "tau" in layout and "tau" not in entry:
             raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
-        _check_leaves(entry, "methods", f"methods[{i}]")
 
 
 def _check_feasible(name: str, d_train: Dataset, methods, grid: Grid, n_minibatch: int) -> None:

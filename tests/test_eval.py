@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_dataset, tied_integer_dataset
 from topclf import experiment
-from topclf.data import Dataset, SplitSpec, split, synth_example
+from topclf.data import Dataset, SplitSpec, split, synth_example, write_json
 from topclf.evaluation import (
     Counts,
     build_report,
@@ -258,7 +258,7 @@ class TestReport:
         }
         assert all(0.0 <= v <= 1.0 for v in report.criteria.values())
         out = tmp_path / "report.json"
-        report.to_json(out)
+        write_json(out, report.to_dict())
         assert out.exists() and out.stat().st_size > 0
 
     def test_curve_csv(self, tmp_path):

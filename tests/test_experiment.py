@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -23,7 +24,7 @@ from topclf.experiment import (
     zero_audit,
 )
 from topclf.objective import ObjectiveSpec
-from topclf.solver import TrainConfig
+from topclf.solver import AdamParams, TrainConfig
 from topclf.threshold import rule_from_token
 
 
@@ -481,6 +482,12 @@ class TestManifestKeys:
                 ("train", "project_unit_ball"), "no",
                 r"train\.project_unit_ball must be a JSON boolean or null",
             ),
+            (("criteria_taus",), [True], r"criteria_taus\[0\] must be a JSON number"),
+            (("select", "tau"), True, r"select\.tau must be a JSON number or null"),
+            (("select", "tau"), "0.1", r"select\.tau must be a JSON number or null"),
+            (("select", "criterion"), 5, "must be a JSON string"),
+            (("train", "init"), 5, r"train\.init must be a JSON string"),
+            (("loss",), 5, "loss must be a JSON string"),
         ],
     )
     def test_wrong_json_type_rejected_before_loading(
@@ -499,6 +506,36 @@ class TestManifestKeys:
         else:
             manifest = value
         with pytest.raises(ManifestError, match=message):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (path, field)
+            for path, cls in (
+                (("grid",), Grid),
+                (("train",), TrainConfig),
+                (("train", "adam"), AdamParams),
+                (("split",), SplitSpec),
+            )
+            for field in dataclasses.fields(cls)
+        ],
+        ids=lambda arg: ".".join(arg) if isinstance(arg, tuple) else arg.name,
+    )
+    def test_every_section_field_is_typed(self, tmp_path, monkeypatch, path, field):
+        # a field needs no table entry of its own to be type-checked
+        def fail(entry):
+            raise AssertionError("a dataset was loaded")
+
+        monkeypatch.setattr(experiment, "load_dataset", fail)
+        manifest = small_manifest()
+        doc = manifest
+        for step in path:
+            doc = doc[step]
+        doc[field.name] = 5 if isinstance(field.default, str) else "x"
+        where = ".".join((*path, field.name))
+        with pytest.raises(ManifestError, match=re.escape(f"{where} must be a JSON ")):
             run_manifest(manifest, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
