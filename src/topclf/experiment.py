@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import statistics
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import DATASET_ENTRIES, Dataset, SplitSpec, check_minibatches, load_dataset, split
 from .data import synth_example, write_csv, write_json
@@ -235,13 +233,12 @@ def rank_table(winners: list[RunRecord], criteria: list[str]) -> dict[str, dict[
     for crit in criteria:
         ranks = np.zeros(len(methods))
         for ds in datasets:
-            values = []
-            for method in methods:
-                rec = by_cell.get((method, ds))
-                if rec is None:
-                    raise ValueError(f"missing cell: method {method!r} on {ds!r}")
-                values.append(rec.criteria["test"][crit])
-            ranks += rankdata([-v for v in values], method="average")
+            missing = [method for method in methods if (method, ds) not in by_cell]
+            if missing:
+                raise ValueError(f"missing cell: method {missing[0]!r} on {ds!r}")
+            v = np.array([by_cell[method, ds].criteria["test"][crit] for method in methods])
+            # 1 + the count of larger values + half the count of other equal values
+            ranks += 1 + (v > v[:, None]).sum(axis=1) + ((v == v[:, None]).sum(axis=1) - 1) / 2
         table[crit] = {m: ranks[i] / len(datasets) for i, m in enumerate(methods)}
     return table
 
@@ -254,7 +251,7 @@ def timing_probe(
         raise ValueError("warmup must be >= 1")
     probe_cfg = dataclasses.replace(cfg, iterations=warmup + timed)
     model = train(spec, d, probe_cfg)
-    return float(statistics.median(model.history.iter_ms[warmup:]))
+    return float(np.median(model.history.iter_ms[warmup:]))
 
 
 _WORKED_EXAMPLE_METHODS = ("toppush", "toppushk", "grill", "patmat", "topmean")
@@ -310,7 +307,6 @@ def reproduce_worked_example(
     return rows
 
 
-_REQUIRED_KEYS = ("datasets", "methods", "select")
 # the manifest's JSON layout, as _check reads it
 _MANIFEST = {
     "datasets": list[dict], "methods": list[dict],
@@ -330,7 +326,7 @@ _field_types = functools.cache(typing.get_type_hints)
 
 
 class ManifestError(ValueError):
-    """A bad manifest key or value, an infeasible grid point or jobs < 1."""
+    """A bad manifest key or value, an empty split part, an infeasible grid point or jobs < 1."""
 
 
 def _check(value, layout, where: str = "", required=()) -> None:
@@ -368,7 +364,7 @@ def _check(value, layout, where: str = "", required=()) -> None:
 
 
 def _check_manifest(manifest: dict) -> None:
-    _check(manifest, _MANIFEST, required=_REQUIRED_KEYS)
+    _check(manifest, _MANIFEST, required=("datasets", "methods", "select"))
     for i, entry in enumerate(manifest["datasets"]):
         fmt = entry.get("format", "csv")
         if not isinstance(fmt, str) or fmt not in DATASET_ENTRIES:
@@ -416,8 +412,8 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     The manifest lists datasets, method instances, grid overrides, the train
     configuration, split fractions and the selection criterion.  An unknown
     or missing key or a bad value raises :class:`ManifestError` before any
-    data is loaded, and a grid point some training split cannot support
-    before any training.
+    data is loaded, and an empty split part or a grid point some training
+    split cannot support before any training.
     ``jobs`` > 1 trains on one pool whose workers each get every split once.
     Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
     and timing.csv.
@@ -439,7 +435,11 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
         raise ManifestError(f"invalid manifest value: {exc}") from None
     splits = {}
     for entry in manifest["datasets"]:
-        splits[entry["name"]] = parts = split(load_dataset(entry), spec_split)
+        d = load_dataset(entry)
+        try:
+            splits[entry["name"]] = parts = split(d, spec_split)
+        except ValueError as exc:
+            raise ManifestError(f"dataset {entry['name']!r}: {exc}") from None
         _check_feasible(entry["name"], parts[0], manifest["methods"], grid, cfg.n_minibatch)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +26,16 @@ def random_dataset(rng, n=50, m=5, pos_frac=0.5, scale=1.0):
     if not labels.any():
         labels[rng.integers(n)] = True
     return Dataset(features, labels)
+
+
+def save_libsvm(d, path):
+    """Write ``d`` as a libsvm file: zero entries left out, every value as its repr."""
+    lines = []
+    for row, positive in zip(d.features.tolist(), d.labels.tolist()):
+        cells = [f"{j + 1}:{x!r}" for j, x in enumerate(row) if x != 0.0]
+        lines.append(" ".join(["+1" if positive else "-1", *cells]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def brute_force_quantile(values, tau):

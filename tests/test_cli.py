@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import save_libsvm
 from test_experiment import GRID_ARTIFACTS, grid_artifacts
 
+import topclf
 from topclf.cli import main
-from topclf.data import Dataset, save_csv
+from topclf.data import Dataset, load_csv, save_csv
 
 
 @pytest.fixture()
@@ -22,6 +28,28 @@ def data_csv(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # a fresh interpreter, so that no other test's imports count; modules the
+    # interpreter loaded at start-up (site hooks) are not the import's doing
+    code = (
+        "import sys; before = set(sys.modules); import topclf.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(topclf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    packages = {name.partition(".")[0] for name in out.split()}
+    # dunder entries such as multiprocessing's __mp_main__ alias __main__
+    foreign = {
+        name for name in packages - set(sys.stdlib_module_names) - {"numpy", "topclf"}
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not foreign
 
 
 class TestSynth:
@@ -98,6 +126,17 @@ class TestTrain:
         )
         assert code == 1
 
+    def test_one_class_data_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "pos.svm"
+        data.write_text("+1 1:1\n+1 2:1\n")
+        with pytest.warns(UserWarning, match="one class"):
+            code = run(
+                "train", "--method", "toppush", "--format", "libsvm", "--data", data,
+                "--out", tmp_path / "o",
+            )
+        assert code == 1
+        assert "need at least one positive and one negative sample" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, data_csv, tmp_path):
         args = (
             "train", "--method", "toppush", "--data", data_csv,
@@ -171,6 +210,21 @@ class TestEval:
         assert run("curve", "--model", model, "--data", data_csv, "--out", out) == 0
         assert (out / "pr_curve.csv").exists()
         assert not (out / "report.json").exists()
+
+
+class TestLibsvm:
+    def test_train_and_eval_match_the_csv_of_the_same_data(self, data_csv, tmp_path):
+        svm = save_libsvm(load_csv(data_csv, "label", "1"), tmp_path / "data.svm")
+        for fmt, path in (("csv", data_csv), ("libsvm", svm)):
+            data, out = ("--format", fmt, "--data", path), tmp_path / fmt
+            code = run("train", "--method", "toppushk", "--k", 2, "--iters", 20, *data,
+                       "--out", out / "run")
+            assert code == 0
+            assert run("eval", "--model", out / "run" / "model.json", *data, "--out", out) == 0
+        for name in ("run/model.json", "run/history.csv", "report.json", "pr_curve.csv",
+                     "ptau_curve.csv"):
+            libsvm, csv = (tmp_path / fmt / name for fmt in ("libsvm", "csv"))
+            assert libsvm.read_bytes() == csv.read_bytes()
 
 
 class TestReproduce:
@@ -305,8 +359,16 @@ class TestGrid:
             (lambda m: m["methods"][0].pop("method"), "missing manifest key 'method'"),
             (lambda m: m["methods"].append({"method": "toppushk"}), "k=15 exceeds"),
             (lambda m: m.update(select="positives_at_top"), "select must be a JSON object"),
+            (
+                lambda m: m.update(split={"train_frac": 0.8, "valid_frac": 0.0, "test_frac": 0.2}),
+                "dataset 'synth': split would leave the validation part empty",
+            ),
+            (
+                lambda m: m["datasets"][0].update(format="parquet"),
+                "unknown dataset format 'parquet' in datasets[0]",
+            ),
         ],
-        ids=["select", "n", "method", "infeasible-k", "select-type"],
+        ids=["select", "n", "method", "infeasible-k", "select-type", "empty-split", "format"],
     )
     def test_missing_key_or_infeasible_point_is_usage_error(
         self, tmp_path, capsys, edit, message
@@ -349,6 +411,19 @@ class TestGrid:
             run("grid", "--manifest", mpath, "--out", tmp_path / "exp")
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    def test_unloadable_dataset_is_runtime_error(self, tmp_path, capsys):
+        manifest = {
+            "datasets": [{"name": "gone", "path": str(tmp_path / "missing.csv"),
+                          "label": "y", "pos": "1"}],
+            "methods": [{"method": "toppush"}],
+            "select": {"criterion": "positives_at_top"},
+        }
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        assert run("grid", "--manifest", mpath, "--out", tmp_path / "exp") == 1
+        assert "no such file" in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--beta", "--lambda"])

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -130,6 +131,33 @@ class TestLoadLibsvm:
         p = write(tmp_path / "d.svm", "")
         with pytest.raises(ValueError, match="empty"):
             load_libsvm(p)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        p = write(tmp_path / "d.svm", "# header\n\n+1 1:0.5\n   \n# between\n-1 2:3\n")
+        d = load_libsvm(p)
+        assert d.features.tolist() == [[0.5, 0.0], [0.0, 3.0]]
+        assert d.labels.tolist() == [True, False]
+
+    def test_unknown_label_names_its_line(self, tmp_path):
+        p = write(tmp_path / "d.svm", "+1 1:1\n2 1:1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: unknown label '2'$"):
+            load_libsvm(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = write(tmp_path / "d.svm", f"+1 1:1\n-1 1:{value}\n")
+        with pytest.raises(ValueError, match=":2: non-finite value"):
+            load_libsvm(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no such file"):
+            load_libsvm(tmp_path / "nope.svm")
+
+    def test_one_class_warns(self, tmp_path):
+        p = write(tmp_path / "d.svm", "+1 1:1\n1 2:1\n")
+        with pytest.warns(UserWarning, match="one class"):
+            d = load_libsvm(p)
+        assert (d.n_pos, d.n_neg) == (2, 0)
 
 
 class TestSplit:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import save_libsvm
 from topclf import experiment
 from topclf.data import Dataset, SplitSpec, save_csv, split, synth_example
 from topclf.experiment import (
@@ -206,13 +207,44 @@ class TestRankTable:
         table = rank_table(recs, ["positives_at_top"])
         assert table["positives_at_top"] == {"A": 1.0, "B": 2.0}
 
-    def test_tie_shares_rank(self):
-        recs = [
-            record("A", "d1", {}, 0, 1, crit=0.7),
-            record("B", "d1", {}, 0, 1, crit=0.7),
-        ]
+    @pytest.mark.parametrize(
+        "values, ranks",
+        [
+            ([0.7, 0.7], [1.5, 1.5]),
+            # three methods tie below the top and share ranks 2, 3 and 4
+            ([0.8, 0.3, 0.3, 0.3], [1.0, 3.0, 3.0, 3.0]),
+            # two methods tie in the middle and share ranks 2 and 3
+            ([0.9, 0.5, 0.5, 0.1], [1.0, 2.5, 2.5, 4.0]),
+        ],
+        ids=["top", "three-way", "middle"],
+    )
+    def test_tie_shares_rank(self, values, ranks):
+        methods = "ABCD"[: len(values)]
+        recs = [record(m, "d1", {}, 0, 1, crit=v) for m, v in zip(methods, values)]
         table = rank_table(recs, ["positives_at_top"])
-        assert table["positives_at_top"] == {"A": 1.5, "B": 1.5}
+        assert table["positives_at_top"] == dict(zip(methods, ranks))
+
+    def test_matches_average_position_oracle(self):
+        # a value's rank is the mean of the 1-based positions its ties take in
+        # the descending order; the ranks are halves, so the sums are exact
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            crit = rng.integers(0, 4, (rng.integers(1, 7), rng.integers(1, 4))) / 4
+            methods = [f"m{i}" for i in range(crit.shape[0])]
+            recs = [
+                record(m, f"d{j}", {}, 0, 1, crit=float(crit[i, j]))
+                for i, m in enumerate(methods)
+                for j in range(crit.shape[1])
+            ]
+            expected = {}
+            for i, m in enumerate(methods):
+                total = 0.0
+                for j in range(crit.shape[1]):
+                    ordered = sorted(crit[:, j].tolist(), reverse=True)
+                    positions = [p + 1 for p, v in enumerate(ordered) if v == crit[i, j]]
+                    total += sum(positions) / len(positions)
+                expected[m] = total / crit.shape[1]
+            assert rank_table(recs, ["positives_at_top"])["positives_at_top"] == expected
 
     def test_three_methods_hand_ranked(self):
         # d1: A=0.9 B=0.5 C=0.1 -> ranks 1,2,3; d2: A=0.2 B=0.6 C=0.4 -> 3,1,2
@@ -331,6 +363,20 @@ class TestRunManifest:
             records.append(recs)
         assert len(records[0]) == 3
         assert records[0] == records[1]
+
+    def test_libsvm_entry_matches_csv_entry(self, tmp_path):
+        d = synth_example(40, seed=2)
+        save_csv(d, tmp_path / "d.csv")
+        save_libsvm(d, tmp_path / "d.svm")
+        entries = {
+            "csv": {"name": "d", "path": str(tmp_path / "d.csv"), "label": "label", "pos": "1"},
+            "libsvm": {"name": "d", "format": "libsvm", "path": str(tmp_path / "d.svm")},
+        }
+        for fmt, entry in entries.items():
+            manifest = small_manifest()
+            manifest["datasets"] = [entry]
+            run_manifest(manifest, tmp_path / fmt)
+        assert grid_artifacts(tmp_path / "libsvm") == grid_artifacts(tmp_path / "csv")
 
 
 CSV_ENTRY = {"name": "c", "format": "csv", "path": "c.csv", "label": "y", "pos": "1"}
@@ -596,7 +642,8 @@ class TestManifestKeys:
 
 
 class TestFeasibility:
-    """Grid points a training split cannot support stop the run before training."""
+    """An empty split part, or a grid point a training split cannot support,
+    stops the run before training."""
 
     @pytest.fixture()
     def no_training(self, monkeypatch):
@@ -639,6 +686,20 @@ class TestFeasibility:
     ):
         manifest = self.manifest(methods, grid, n_minibatch)
         with pytest.raises(ManifestError, match=f"dataset 'tiny', .*{message}"):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "fractions, part",
+        [((0.0, 0.5, 0.5), "train"), ((0.8, 0.0, 0.2), "validation"), ((0.5, 0.5, 0.0), "test")],
+    )
+    def test_empty_split_part_rejected_before_training(
+        self, tmp_path, no_training, fractions, part
+    ):
+        manifest = self.manifest([{"method": "toppush"}], {})
+        manifest["split"] = dict(zip(("train_frac", "valid_frac", "test_frac"), fractions))
+        message = f"^dataset 'tiny': split would leave the {part} part empty$"
+        with pytest.raises(ManifestError, match=message):
             run_manifest(manifest, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 

@@ -177,6 +177,13 @@ class TestTrain:
         with np.errstate(over="ignore"), pytest.raises((FloatingPointError, ValueError)):
             train(spec, d, cfg)
 
+    @pytest.mark.parametrize("labels", [[True, True], [False, False]], ids=["no-neg", "no-pos"])
+    def test_one_class_data_rejected(self, labels):
+        d = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), labels)
+        message = "need at least one positive and one negative sample"
+        with pytest.raises(ValueError, match=message):
+            train(toppush_spec(), d, TrainConfig(iterations=3))
+
     def test_minibatch_training_holds_one_epoch_copy(self):
         # each epoch gathers one shuffled copy of the rows; the previous
         # epoch's copy must be released before the next one is gathered
