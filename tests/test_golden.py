@@ -5,6 +5,8 @@
 planted-outlier dataset.  A change of key order, number format, line ending
 or indentation fails here, where a rerun-against-rerun comparison would
 not.  ``ms_per_iter`` is a wall time and is masked before the comparison.
+``sgd.csv`` pins the weights, final threshold and last objective of every
+method, trained full-batch and on three minibatches, on the same data.
 """
 
 import json
@@ -14,6 +16,10 @@ from pathlib import Path
 import pytest
 
 from topclf.cli import main
+from topclf.data import load_csv, write_csv
+from topclf.objective import ObjectiveSpec
+from topclf.solver import TrainConfig, train
+from topclf.threshold import rule_from_token
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,3 +89,29 @@ ARTIFACTS = [
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_artifact_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
+
+
+SGD_METHODS = {
+    "toppush": {}, "toppushk": {"k": 3}, "grill": {"tau": 0.1}, "grill-np": {"tau": 0.1},
+    "patmat": {"tau": 0.1, "beta": 0.5}, "patmat-np": {"tau": 0.1, "beta": 0.5},
+    "topmean": {"tau": 0.1}, "topmean-np": {"tau": 0.1},
+}
+
+
+def write_sgd_table(path: Path) -> None:
+    """One row per method and batch count: the trained weights, t_final and last objective."""
+    d = load_csv(GOLDEN / "synth.csv", "label", "1")
+    rows = []
+    for method, params in SGD_METHODS.items():
+        spec = ObjectiveSpec(rule=rule_from_token(method, **params), lam=0.001)
+        for n_minibatch in (1, 3):
+            cfg = TrainConfig(iterations=30, n_minibatch=n_minibatch, seed=1, adam={"step_size": 0.05})
+            model = train(spec, d, cfg)
+            last = float(model.history.objective[-1])
+            rows.append([method, n_minibatch, *model.w.tolist(), model.t_final, last])
+    write_csv(path, ["method", "minibatches", "w0", "w1", "t_final", "objective"], rows)
+
+
+def test_sgd_runs_match_golden(tmp_path):
+    write_sgd_table(tmp_path / "sgd.csv")
+    assert (tmp_path / "sgd.csv").read_bytes() == (GOLDEN / "sgd.csv").read_bytes()
