@@ -32,18 +32,13 @@ class Dataset:
     ``features`` is an (n, m) float array, ``labels`` a boolean vector where
     True marks a positive sample.  Index partitions and counts are derived at
     construction and the underlying arrays are locked read-only, so a Dataset
-    can be shared freely across workers.  ``pos_rows`` and ``neg_rows`` select
-    the same rows as ``pos_idx`` and ``neg_idx``, as a slice when the class
-    occupies one contiguous block (as in every minibatch), so that indexing
-    with them takes a view instead of a copy.
+    can be shared freely across workers.
     """
 
     features: np.ndarray
     labels: np.ndarray
     pos_idx: np.ndarray = field(init=False)
     neg_idx: np.ndarray = field(init=False)
-    pos_rows: slice | np.ndarray = field(init=False)
-    neg_rows: slice | np.ndarray = field(init=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -66,8 +61,6 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "pos_idx", pos_idx)
         object.__setattr__(self, "neg_idx", neg_idx)
-        object.__setattr__(self, "pos_rows", _as_block(pos_idx))
-        object.__setattr__(self, "neg_rows", _as_block(neg_idx))
 
     @property
     def n(self) -> int:
@@ -97,13 +90,6 @@ class Dataset:
                 f"need at least one positive and one negative sample, "
                 f"got n_pos={self.n_pos}, n_neg={self.n_neg}"
             )
-
-
-def _as_block(idx: np.ndarray) -> slice | np.ndarray:
-    """``idx`` as a slice if it is one run of consecutive indices."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
 
 
 @dataclass(frozen=True)
@@ -409,7 +395,8 @@ def minibatches(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list[Dat
 
     The epoch's rows are gathered in one copy and each minibatch is a view of
     its contiguous block.  Each chunk lists its positives before its
-    negatives, so both classes are contiguous row blocks of the batch.
+    negatives: the row order fixes the order in which the objective and the
+    threshold sum over a batch, so it fixes their bits.
     """
     chunks = minibatch_epoch(d, n_minibatch, seed, epoch)
     rows = np.concatenate(chunks)

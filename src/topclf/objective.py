@@ -65,21 +65,21 @@ def evaluate(
     w = np.asarray(w, dtype=np.float64)
     z = scores(w, d)
     tres = threshold_scored(spec.rule, z, d, spec.loss)
-    up = tres.t - z[d.pos_rows]
+    up = tres.t - z[d.pos_idx]
 
     # sum / n has the same bits as mean() and skips its overhead
     value = float(spec.loss.value(up).sum() / d.n_pos)
     dup = spec.loss.deriv(up)
     # per-sample coefficients c of the gradient c @ X
     c = np.zeros(d.n)
-    c[d.pos_rows] = dup / -d.n_pos
+    c[d.pos_idx] = dup / -d.n_pos
     s = dup.sum() / d.n_pos
 
     if spec.include_fp:
-        un = z[d.neg_rows] - tres.t
+        un = z[d.neg_idx] - tres.t
         value += float(spec.loss.value(un).sum() / d.n_neg)
         dun = spec.loss.deriv(un)
-        c[d.neg_rows] = dun / d.n_neg
+        c[d.neg_idx] = dun / d.n_neg
         s -= dun.sum() / d.n_neg
 
     # support indices are distinct, so the scatter-add is exact

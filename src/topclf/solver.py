@@ -183,20 +183,16 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
     norm_trace = np.empty(cfg.iterations)
     ms_trace = np.empty(cfg.iterations)
 
-    batch_data: list[Dataset] = []
+    # one batch is the whole training set; more are gathered anew each epoch
+    batches = [d_train]
     for it in range(cfg.iterations):
         tic = time.perf_counter()
-        if cfg.n_minibatch == 1:
-            batch = d_train
-        else:
-            pos = it % cfg.n_minibatch
-            if pos == 0:
-                # release the old epoch's rows before gathering the next one
-                batch_data = batch = None
-                epoch = it // cfg.n_minibatch
-                batch_data = minibatches(d_train, cfg.n_minibatch, cfg.seed, epoch)
-            batch = batch_data[pos]
-        value, grad, _ = evaluate(spec, w, batch)
+        epoch, pos = divmod(it, cfg.n_minibatch)
+        if pos == 0 and cfg.n_minibatch > 1:
+            # release the old epoch's rows before gathering the next one
+            batches = None
+            batches = minibatches(d_train, cfg.n_minibatch, cfg.seed, epoch)
+        value, grad, _ = evaluate(spec, w, batches[pos])
         if not math.isfinite(value):
             raise FloatingPointError(
                 f"objective became non-finite at iteration {it} (value {value!r})"

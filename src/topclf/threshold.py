@@ -251,7 +251,7 @@ def threshold_scored(
     kind = rule.kind
     if kind in NEGATIVE_KINDS:
         sel = d.neg_idx
-        zsel = z[d.neg_rows]
+        zsel = z[sel]
     else:
         sel = None
         zsel = z

@@ -44,14 +44,10 @@ class TestDataset:
         assert sub.labels.tolist() == [False, True]
         assert sub.features[0].tolist() == [8.0, 9.0]
 
-    def test_class_rows_are_slices_for_class_blocks(self):
-        d = Dataset(np.zeros((5, 1)), [True, True, False, False, False])
-        assert (d.pos_rows, d.neg_rows) == (slice(0, 2), slice(2, 5))
-
     def test_class_rows_are_indices_when_interleaved(self):
         d = Dataset(np.zeros((4, 1)), [True, False, True, False])
-        assert d.pos_rows.tolist() == [0, 2]
-        assert d.neg_rows.tolist() == [1, 3]
+        assert d.pos_idx.tolist() == [0, 2]
+        assert d.neg_idx.tolist() == [1, 3]
 
 
 class TestLoadCsv:
@@ -255,8 +251,8 @@ class TestMinibatches:
             sub = d.subset(chunk)
             assert np.array_equal(batch.features, sub.features)
             assert np.array_equal(batch.labels, sub.labels)
-            assert batch.pos_rows == slice(0, sub.n_pos)
-            assert batch.neg_rows == slice(sub.n_pos, sub.n)
+            # positives first: the row order fixes the batch's summation order
+            assert batch.labels.tolist() == [True] * sub.n_pos + [False] * sub.n_neg
             assert not batch.features.flags.writeable
 
 
