@@ -10,8 +10,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .data import load_dataset, save_csv, synth_example, write_csv, write_json
+from .data import Dataset, load_dataset, save_csv, synth_example, write_csv, write_json
 from .evaluation import CRITERION_KINDS, build_report, check_taus, write_curve_csv
 from .experiment import ManifestError, reproduce_worked_example, run_manifest
 from .objective import ObjectiveSpec
@@ -110,6 +112,10 @@ def _parse_taus(text: str) -> list[float]:
 def cmd_eval(args, parser, curves_only: bool = False) -> int:
     model = Model.from_dict(json.loads(Path(args.model).read_text()))
     dataset = load_dataset(_dataset_entry(args))
+    if args.format == "libsvm" and dataset.m < model.w.shape[0]:
+        # an index that no row of a libsvm file uses is a zero column
+        features = np.pad(dataset.features, ((0, 0), (0, model.w.shape[0] - dataset.m)))
+        dataset = Dataset(features, dataset.labels)
     if dataset.m != model.w.shape[0]:
         raise ValueError(
             f"model expects {model.w.shape[0]} features, dataset has {dataset.m}"

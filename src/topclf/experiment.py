@@ -29,7 +29,7 @@ from .data import DATASET_ENTRIES, Dataset, SplitSpec, check_minibatches, load_d
 from .data import synth_example, write_csv, write_json
 from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, evaluate, objective
-from .solver import AdamParams, Model, TrainConfig, train
+from .solver import TrainConfig, train
 from .surrogate import HINGE, SurrogateLoss, make_loss
 from .threshold import NEGATIVE_KINDS, RULES, check_pool, method_params, rule_from_token, scores
 
@@ -70,6 +70,8 @@ class SelectCriterion:
 
 @dataclass
 class RunRecord:
+    """One grid point's row of run_records.json, in its key order."""
+
     method: str
     dataset: str
     params: dict
@@ -78,15 +80,8 @@ class RunRecord:
     f_final: float
     f_zero: float
     ms_per_iter: float
-    model: Model | None = None
-
-    def to_dict(self) -> dict:
-        doc = dict(vars(self))
-        model = doc.pop("model")
-        if model is not None:
-            doc["w"] = model.w.tolist()
-            doc["t_final"] = model.t_final
-        return doc
+    w: list[float]
+    t_final: float
 
 
 def method_id(spec: ObjectiveSpec) -> str:
@@ -139,7 +134,8 @@ def _run_point(task, splits=None) -> RunRecord:
         f_final=objective(spec, model.w, splits["train"]),
         f_zero=objective(spec, zeros, splits["train"]),
         ms_per_iter=float(np.median(model.history.iter_ms)),
-        model=model,
+        w=model.w.tolist(),
+        t_final=model.t_final,
     )
 
 
@@ -365,6 +361,9 @@ def _check(value, layout, where: str = "", required=()) -> None:
 
 def _check_manifest(manifest: dict) -> None:
     _check(manifest, _MANIFEST, required=("datasets", "methods", "select"))
+    for key in ("datasets", "methods"):
+        if not manifest[key]:
+            raise ManifestError(f"manifest key {key!r} must list at least one entry")
     for i, entry in enumerate(manifest["datasets"]):
         fmt = entry.get("format", "csv")
         if not isinstance(fmt, str) or fmt not in DATASET_ENTRIES:
@@ -460,9 +459,8 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
                 winners.append(best)
                 all_records.extend(records)
 
-    write_json(out / "run_records.json", [r.to_dict() for r in all_records])
-    criteria_keys = sorted(winners[0].criteria["test"]) if winners else []
-    ranks = rank_table(winners, criteria_keys)
+    write_json(out / "run_records.json", [vars(r) for r in all_records])
+    ranks = rank_table(winners, sorted(winners[0].criteria["test"]))
     methods = sorted({r.method for r in winners})
     rank_rows = [[m, *(f"{ranks[c][m]:.2f}" for c in ranks)] for m in methods]
     write_csv(out / "rank_table.csv", ["method", *ranks], rank_rows)

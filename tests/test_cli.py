@@ -226,6 +226,40 @@ class TestLibsvm:
             libsvm, csv = (tmp_path / fmt / name for fmt in ("libsvm", "csv"))
             assert libsvm.read_bytes() == csv.read_bytes()
 
+    def fit_three_features(self, tmp_path):
+        data = tmp_path / "train.svm"
+        data.write_text("+1 1:1 3:0.5\n-1 2:1\n+1 1:0.8 2:0.1\n-1 1:-0.2 3:-1\n")
+        code = run("train", "--method", "toppush", "--format", "libsvm", "--data", data,
+                   "--iters", 10, "--out", tmp_path / "run")
+        assert code == 0
+        return tmp_path / "run" / "model.json"
+
+    def test_eval_pads_a_file_that_omits_the_last_index(self, tmp_path):
+        model = self.fit_three_features(tmp_path)
+        narrow = tmp_path / "narrow.svm"
+        narrow.write_text("+1 1:1\n-1 2:1\n+1 1:0.5 2:0.2\n")
+        padded = tmp_path / "padded.csv"
+        padded.write_text("x0,x1,x2,label\n1,0,0,1\n0,1,0,0\n0.5,0.2,0,1\n")
+        assert run("eval", "--model", model, "--format", "libsvm", "--data", narrow,
+                   "--out", tmp_path / "svm") == 0
+        assert run("eval", "--model", model, "--data", padded, "--out", tmp_path / "csv") == 0
+        for name in ("report.json", "pr_curve.csv", "ptau_curve.csv"):
+            assert (tmp_path / "svm" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "fmt, text, m",
+        [("libsvm", "+1 1:1 4:1\n-1 2:1\n", 4), ("csv", "x0,x1,label\n1,0,1\n0,1,0\n", 2)],
+        ids=["libsvm-index-above-width", "csv-narrower"],
+    )
+    def test_eval_refuses_other_widths(self, tmp_path, capsys, fmt, text, m):
+        model = self.fit_three_features(tmp_path)
+        data = tmp_path / f"eval.{fmt}"
+        data.write_text(text)
+        code = run("eval", "--model", model, "--format", fmt, "--data", data,
+                   "--out", tmp_path / "e")
+        assert code == 1
+        assert f"model expects 3 features, dataset has {m}" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_writes_table(self, tmp_path, capsys):
@@ -394,8 +428,10 @@ class TestGrid:
             (lambda m: m.update(train={"iterations": 0}), "iterations must be positive"),
             (lambda m: m.update(split={"train_frac": 0.9}), "fractions must sum to 1"),
             (lambda m: m.update(loss="square"), "unknown surrogate loss 'square'"),
+            (lambda m: m.update(datasets=[]), "manifest key 'datasets' must list at least one"),
+            (lambda m: m.update(methods=[]), "manifest key 'methods' must list at least one"),
         ],
-        ids=["method", "train", "split", "loss"],
+        ids=["method", "train", "split", "loss", "no-datasets", "no-methods"],
     )
     def test_bad_manifest_value_is_usage_error(self, tmp_path, capsys, edit, message):
         manifest = {

@@ -56,6 +56,8 @@ def record(method, dataset, params, f_final, f_zero, crit=0.5):
         f_final=f_final,
         f_zero=f_zero,
         ms_per_iter=1.0,
+        w=[0.0, 0.0],
+        t_final=0.0,
     )
 
 
