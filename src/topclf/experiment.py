@@ -139,6 +139,38 @@ def _run_point(task, splits=None) -> RunRecord:
     )
 
 
+def _grid_tasks(
+    dataset_name: str, method: str, grid: Grid, cfg: TrainConfig, select: SelectCriterion,
+    tau: float | None, loss: SurrogateLoss, criteria_taus,
+) -> list[tuple]:
+    """One :func:`_run_point` task per grid point of ``method``, in grid order."""
+    taus = list(criteria_taus) if criteria_taus is not None else []
+    if select.tau is not None and select.tau not in taus:
+        taus.append(select.tau)
+    points = grid_points(method, grid)
+    return [(dataset_name, method, tau, loss, cfg, taus, point) for point in points]
+
+
+def _run_groups(
+    groups: list[list[tuple]], splits: dict, pool: ProcessPoolExecutor | None,
+    select: SelectCriterion,
+) -> tuple[list[RunRecord], list[RunRecord]]:
+    """Each group's validation winner (ties go to its earliest task) and every
+    record in task order, from one ``pool.map`` or, without a pool, this process."""
+    tasks = [task for group in groups for task in group]
+    if pool is not None:
+        records = list(pool.map(_run_point, tasks))
+    else:
+        records = [_run_point(task, splits[task[0]]) for task in tasks]
+    key = select.kind if select.kind == "positives_at_top" else f"{select.kind}@{select.tau:g}"
+    ordered = iter(records)  # each group takes the next len(group) records
+    winners = [
+        max((next(ordered) for _ in group), key=lambda r: r.criteria["valid"][key])
+        for group in groups
+    ]
+    return winners, records
+
+
 def grid_search(
     method: str, grid: Grid, splits: tuple[Dataset, Dataset, Dataset], cfg: TrainConfig,
     select: SelectCriterion, tau: float | None = None, loss: SurrogateLoss = HINGE,
@@ -152,20 +184,13 @@ def grid_search(
     criterion on the validation split; ties go to the earlier grid point, so
     the result is a pure function of the inputs.
 
-    ``pool`` is the run's executor, whose workers hold ``splits`` under
-    ``dataset_name`` already; without one the points train in this process.
+    This is the one-method view of :func:`run_manifest`, built from the same
+    tasks and run and selected the same way.  ``pool`` is an executor whose
+    workers hold ``splits`` under ``dataset_name`` already (see
+    ``_hold_splits``); without one the points train in this process.
     """
-    points = grid_points(method, grid)
-    taus = list(criteria_taus) if criteria_taus is not None else []
-    if select.tau is not None and select.tau not in taus:
-        taus.append(select.tau)
-    tasks = [(dataset_name, method, tau, loss, cfg, taus, point) for point in points]
-    if pool is not None:
-        records = list(pool.map(_run_point, tasks))
-    else:
-        records = [_run_point(task, splits) for task in tasks]
-    key = select.kind if select.kind == "positives_at_top" else f"{select.kind}@{select.tau:g}"
-    best = max(records, key=lambda r: r.criteria["valid"][key])
+    tasks = _grid_tasks(dataset_name, method, grid, cfg, select, tau, loss, criteria_taus)
+    [best], records = _run_groups([tasks], {dataset_name: splits}, pool, select)
     return best, records
 
 
@@ -413,7 +438,12 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     or missing key or a bad value raises :class:`ManifestError` before any
     data is loaded, and an empty split part or a grid point some training
     split cannot support before any training.
-    ``jobs`` > 1 trains on one pool whose workers each get every split once.
+    Every grid point of every (dataset, method) pair is queued as one task;
+    with ``jobs`` > 1 the tasks run in one map on one pool of at most
+    ``jobs`` workers, never more than there are tasks, and each worker gets
+    every split once.  ``jobs`` == 1 trains in this process.  Records keep
+    the task order, and each pair's winner is picked as :func:`grid_search`
+    picks it.
     Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
     and timing.csv.
     """
@@ -443,21 +473,21 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    winners: list[RunRecord] = []
-    all_records: list[RunRecord] = []
+    # the tasks of every grid point, grouped by (dataset, method) in manifest order
+    groups = [
+        _grid_tasks(name, m["method"], grid, cfg, select, m.get("tau"), loss, criteria_taus)
+        for name in splits
+        for m in manifest["methods"]
+    ]
+    n_tasks = sum(len(group) for group in groups)
     with (
-        ProcessPoolExecutor(max_workers=jobs, initializer=_hold_splits, initargs=(splits,))
+        ProcessPoolExecutor(
+            max_workers=min(jobs, n_tasks), initializer=_hold_splits, initargs=(splits,)
+        )
         if jobs > 1
         else contextlib.nullcontext()
     ) as pool:
-        for name, parts in splits.items():
-            for m_entry in manifest["methods"]:
-                best, records = grid_search(
-                    m_entry["method"], grid, parts, cfg, select, tau=m_entry.get("tau"),
-                    loss=loss, dataset_name=name, criteria_taus=criteria_taus, pool=pool,
-                )
-                winners.append(best)
-                all_records.extend(records)
+        winners, all_records = _run_groups(groups, splits, pool, select)
 
     write_json(out / "run_records.json", [vars(r) for r in all_records])
     ranks = rank_table(winners, sorted(winners[0].criteria["test"]))

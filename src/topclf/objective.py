@@ -67,9 +67,11 @@ def evaluate(
     tres = threshold_scored(spec.rule, z, d, spec.loss)
     up = tres.t - z[d.pos_idx]
 
+    lup, dup = spec.loss.value_and_deriv(up)
     # sum / n has the same bits as mean() and skips its overhead
-    value = float(spec.loss.value(up).sum() / d.n_pos)
-    dup = spec.loss.deriv(up)
+    value = float(lup.sum() / d.n_pos)
+    # free each loss-value array once summed, before the gradient buffers
+    del lup
     # per-sample coefficients c of the gradient c @ X
     c = np.zeros(d.n)
     c[d.pos_idx] = dup / -d.n_pos
@@ -77,8 +79,9 @@ def evaluate(
 
     if spec.include_fp:
         un = z[d.neg_idx] - tres.t
-        value += float(spec.loss.value(un).sum() / d.n_neg)
-        dun = spec.loss.deriv(un)
+        lun, dun = spec.loss.value_and_deriv(un)
+        value += float(lun.sum() / d.n_neg)
+        del lun
         c[d.neg_idx] = dun / d.n_neg
         s -= dun.sum() / d.n_neg
 

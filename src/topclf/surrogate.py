@@ -38,6 +38,14 @@ class SurrogateLoss:
             return (z >= -1.0).astype(np.float64)
         return 2.0 * np.maximum(0.0, 1.0 + z)
 
+    def value_and_deriv(self, z):
+        """``(value(z), deriv(z))`` with the same bits, checking ``z`` once."""
+        z = _require_finite(z)
+        hinge = np.maximum(0.0, 1.0 + z)
+        if self.kind == "hinge":
+            return hinge, (z >= -1.0).astype(np.float64)
+        return hinge**2, 2.0 * hinge
+
 
 def _require_finite(z):
     z = np.asarray(z, dtype=np.float64)

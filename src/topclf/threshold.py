@@ -213,7 +213,7 @@ def surrogate_quantile(
     if loss.kind == "hinge":
         # c_j = (beta/n) * sum_{i<j} (z_(i) - z_(j))
         prefix = np.concatenate(([0.0], np.cumsum(z)))
-        c = (beta / n) * (prefix[j] - j * z)
+        c = (beta / n) * (prefix[:n] - j * z)
     else:
         # c_j = (beta^2/n) * sum_{i<j} (z_(i) - z_(j))^2 from prefix sums of
         # y = z - z_(0): each term is at most y_j^2 and the sum at least y_j^2,
@@ -221,7 +221,7 @@ def surrogate_quantile(
         y = z - z[0]
         py = np.concatenate(([0.0], np.cumsum(y)))
         qy = np.concatenate(([0.0], np.cumsum(y * y)))
-        c = (beta * beta / n) * (qy[j] - 2.0 * y * py[j] + j * y * y)
+        c = (beta * beta / n) * (qy[:n] - 2.0 * y * py[:n] + j * y * y)
     # accumulate guards the binary search against rounding wobble in the
     # prefix-sum cancellation
     c = np.maximum.accumulate(c)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from topclf.data import Dataset
+from topclf.solver import AdamState
 from topclf.threshold import (
     NEGATIVE_KINDS,
     QUANTILE_KINDS,
@@ -204,3 +205,14 @@ def oracle_gradient(spec, w, d):
         dun = spec.loss.deriv(z[d.neg_idx] - t)
         grad += (dun @ d.features[d.neg_idx] - dun.sum() * grad_t) / d.n_neg
     return grad + spec.lam * w
+
+
+def oracle_adam_step(state, grad, params):
+    """One bias-corrected ADAM update written functionally: a new state and the delta."""
+    step = state.step + 1
+    m = params.beta1 * state.m + (1.0 - params.beta1) * grad
+    v = params.beta2 * state.v + (1.0 - params.beta2) * grad * grad
+    m_hat = m / (1.0 - params.beta1**step)
+    v_hat = v / (1.0 - params.beta2**step)
+    delta = -params.step_size * m_hat / (np.sqrt(v_hat) + params.epsilon)
+    return AdamState(m=m, v=v, step=step), delta

@@ -381,6 +381,81 @@ class TestRunManifest:
         assert grid_artifacts(tmp_path / "libsvm") == grid_artifacts(tmp_path / "csv")
 
 
+def uneven_manifest():
+    """Two datasets and three methods whose grids have 6, 2 and 3 points."""
+    manifest = small_manifest()
+    manifest["datasets"].append({"name": "other", "format": "synth", "n": 50, "seed": 2})
+    manifest["methods"].insert(0, {"method": "toppush"})
+    manifest["grid"] = {"ks": [1, 2], "betas": [0.1, 1, 10]}
+    manifest["train"]["iterations"] = 15
+    return manifest
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Swap the run's ProcessPoolExecutor for one that records its use and starts no process."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers = max_workers
+            self.map_sizes = []
+            initializer(*initargs)
+            started.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            self.map_sizes.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiment, "_SPLITS", {})
+    return started
+
+
+def without_wall_times(records):
+    return [dataclasses.replace(r, ms_per_iter=0.0) for r in records]
+
+
+class TestRunScheduling:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_grid_search_per_pair(self, tmp_path, jobs):
+        manifest = uneven_manifest()
+        result = run_manifest(manifest, tmp_path, jobs=jobs)
+        grid = Grid(**manifest["grid"])
+        cfg = TrainConfig(**manifest["train"])
+        select = SelectCriterion("positives_at_top")
+        winners, records = [], []
+        for entry in manifest["datasets"]:
+            parts = split(synth_example(entry["n"], entry["seed"]), SplitSpec(**manifest["split"]))
+            for m in manifest["methods"]:
+                best, recs = grid_search(
+                    m["method"], grid, parts, cfg, select, tau=m.get("tau"),
+                    dataset_name=entry["name"], criteria_taus=manifest["criteria_taus"],
+                )
+                winners.append(best)
+                records.extend(recs)
+        assert len(records) == 2 * (6 + 2 + 3)
+        assert without_wall_times(result["records"]) == without_wall_times(records)
+        assert without_wall_times(result["winners"]) == without_wall_times(winners)
+
+    @pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (64, 22)])
+    def test_one_map_on_at_most_one_worker_per_task(self, tmp_path, pools, jobs, workers):
+        run_manifest(uneven_manifest(), tmp_path, jobs=jobs)
+        if workers is None:
+            assert pools == []
+        else:
+            [pool] = pools
+            assert pool.max_workers == workers
+            assert pool.map_sizes == [22]
+
+
 CSV_ENTRY = {"name": "c", "format": "csv", "path": "c.csv", "label": "y", "pos": "1"}
 LIBSVM_ENTRY = {"name": "l", "format": "libsvm", "path": "l.svm"}
 

@@ -7,6 +7,8 @@ or indentation fails here, where a rerun-against-rerun comparison would
 not.  ``ms_per_iter`` is a wall time and is masked before the comparison.
 ``sgd.csv`` pins the weights, final threshold and last objective of every
 method, trained full-batch and on three minibatches, on the same data.
+The golden manifest's grid is also run on a two-worker pool and checked
+against the same grid goldens.
 """
 
 import json
@@ -54,11 +56,7 @@ def produce(tmp: Path) -> dict[str, bytes]:
         "eval", "--model", tmp / "run" / "model.json", "--data", data,
         "--taus", "0.05,0.2", "--out", tmp / "eval",
     )
-    (tmp / "manifest.json").write_text(json.dumps(MANIFEST))
-    run("grid", "--manifest", tmp / "manifest.json", "--out", tmp / "grid")
     run("reproduce", "--n", 2000, "--out", tmp / "reproduce.csv")
-    records = (tmp / "grid" / "run_records.json").read_bytes()
-    timing = (tmp / "grid" / "timing.csv").read_bytes()
     return {
         "synth.csv": data.read_bytes(),
         "model.json": (tmp / "run" / "model.json").read_bytes(),
@@ -66,12 +64,24 @@ def produce(tmp: Path) -> dict[str, bytes]:
         "report.json": (tmp / "eval" / "report.json").read_bytes(),
         "pr_curve.csv": (tmp / "eval" / "pr_curve.csv").read_bytes(),
         "ptau_curve.csv": (tmp / "eval" / "ptau_curve.csv").read_bytes(),
+        **produce_grid(tmp, jobs=1),
+        "reproduce.csv": (tmp / "reproduce.csv").read_bytes(),
+    }
+
+
+def produce_grid(tmp: Path, jobs: int) -> dict[str, bytes]:
+    """The golden manifest's grid artifacts run with ``--jobs``, wall times masked."""
+    (tmp / "manifest.json").write_text(json.dumps(MANIFEST))
+    out = tmp / f"grid-jobs{jobs}"
+    run("grid", "--manifest", tmp / "manifest.json", "--jobs", jobs, "--out", out)
+    records = (out / "run_records.json").read_bytes()
+    timing = (out / "timing.csv").read_bytes()
+    return {
         "run_records.json": re.sub(rb'"ms_per_iter": [^,\n]+', b'"ms_per_iter": 0', records),
-        "rank_table.csv": (tmp / "grid" / "rank_table.csv").read_bytes(),
-        "zero_audit.csv": (tmp / "grid" / "zero_audit.csv").read_bytes(),
+        "rank_table.csv": (out / "rank_table.csv").read_bytes(),
+        "zero_audit.csv": (out / "zero_audit.csv").read_bytes(),
         # ms_per_iter is the last column of timing.csv
         "timing.csv": re.sub(rb",[0-9.e+-]+\r\n", b",0\r\n", timing),
-        "reproduce.csv": (tmp / "reproduce.csv").read_bytes(),
     }
 
 
@@ -80,6 +90,7 @@ def outputs(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("golden"))
 
 
+GRID_ARTIFACTS = ["run_records.json", "rank_table.csv", "zero_audit.csv", "timing.csv"]
 ARTIFACTS = [
     "synth.csv", "model.json", "history.csv", "report.json", "pr_curve.csv", "ptau_curve.csv",
     "run_records.json", "rank_table.csv", "zero_audit.csv", "timing.csv", "reproduce.csv",
@@ -89,6 +100,16 @@ ARTIFACTS = [
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_artifact_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def pool_grid_outputs(tmp_path_factory):
+    return produce_grid(tmp_path_factory.mktemp("golden-pool"), jobs=2)
+
+
+@pytest.mark.parametrize("name", GRID_ARTIFACTS)
+def test_pool_grid_matches_golden(pool_grid_outputs, name):
+    assert pool_grid_outputs[name] == (GOLDEN / name).read_bytes()
 
 
 SGD_METHODS = {

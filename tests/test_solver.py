@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import central_diff, random_dataset
+from helpers import central_diff, oracle_adam_step, random_dataset
 from topclf.data import Dataset, minibatch_epoch, synth_example
 from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.solver import (
@@ -13,6 +13,7 @@ from topclf.solver import (
     AdamState,
     Model,
     TrainConfig,
+    _FLOAT_STEP_MAX_DIM,
     adam_step,
     project_l2_ball,
     train,
@@ -46,8 +47,28 @@ class TestAdamStep:
         np.testing.assert_allclose(delta, -0.01 * np.sign(g), rtol=1e-3)
 
     def test_non_finite_gradient_rejected(self):
+        state = AdamState.fresh(2)
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(AdamState.fresh(2), np.array([1.0, np.inf]), AdamParams())
+            adam_step(state, np.array([1.0, np.inf]), AdamParams())
+        assert state.step == 0 and not state.m.any() and not state.v.any()
+
+    # both sides of the float/array switch
+    @pytest.mark.parametrize("dim", [1, 3, _FLOAT_STEP_MAX_DIM, _FLOAT_STEP_MAX_DIM + 1, 30])
+    def test_matches_functional_oracle_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        params = AdamParams(step_size=0.05)
+        state, expected = AdamState.fresh(dim), AdamState.fresh(dim)
+        for _ in range(1000):
+            # gradients spanning many magnitudes, signs and exact zeros
+            scale = 10.0 ** rng.integers(-8, 4, dim) * (rng.random(dim) < 0.9)
+            g = rng.standard_normal(dim) * scale
+            returned, delta = adam_step(state, g, params)
+            expected, want = oracle_adam_step(expected, g, params)
+            assert returned is state
+            assert delta.tobytes() == want.tobytes()
+            assert state.m.tobytes() == expected.m.tobytes()
+            assert state.v.tobytes() == expected.v.tobytes()
+            assert state.step == expected.step
 
     def test_step_counter_advances(self):
         state = AdamState.fresh(1)

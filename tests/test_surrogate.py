@@ -52,6 +52,35 @@ class TestDerivatives:
         np.testing.assert_allclose(loss.deriv(z), fd, atol=1e-6)
 
 
+class TestValueAndDeriv:
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+    def test_same_bits_as_value_and_deriv(self, loss):
+        kink = np.nextafter(-1.0, [-np.inf, np.inf])
+        z = np.concatenate(
+            ([-1.0, *kink, 0.0, -0.0, 1e300, -1e300], np.random.default_rng(3).uniform(-5, 5, 1000))
+        )
+        # (1 + 1e300)^2 overflows to inf in both paths
+        with np.errstate(over="ignore"):
+            expected = (loss.value(z), loss.deriv(z))
+            got = loss.value_and_deriv(z)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+    @pytest.mark.parametrize("z", [-1.0, 0.0, -0.0, 2.5])
+    def test_scalar_input(self, loss, z):
+        value, deriv = loss.value_and_deriv(z)
+        assert (value, deriv) == (loss.value(z), loss.deriv(z))
+        assert np.ndim(value) == np.ndim(deriv) == 0
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, loss, bad):
+        with pytest.raises(ValueError, match="surrogate loss input must be finite"):
+            loss.value_and_deriv(np.array([0.0, bad]))
+
+
 class TestShapeProperties:
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
     def test_convexity_on_random_pairs(self, loss):
