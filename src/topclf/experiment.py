@@ -174,7 +174,7 @@ def _run_groups(
 def grid_search(
     method: str, grid: Grid, splits: tuple[Dataset, Dataset, Dataset], cfg: TrainConfig,
     select: SelectCriterion, tau: float | None = None, loss: SurrogateLoss = HINGE,
-    dataset_name: str = "data", criteria_taus=None, pool: ProcessPoolExecutor | None = None,
+    dataset_name: str = "data", criteria_taus=None,
 ) -> tuple[RunRecord, list[RunRecord]]:
     """Train one model per grid point of ``method`` and pick the validation winner.
 
@@ -185,12 +185,10 @@ def grid_search(
     the result is a pure function of the inputs.
 
     This is the one-method view of :func:`run_manifest`, built from the same
-    tasks and run and selected the same way.  ``pool`` is an executor whose
-    workers hold ``splits`` under ``dataset_name`` already (see
-    ``_hold_splits``); without one the points train in this process.
+    tasks and selected the same way; the points train in this process.
     """
     tasks = _grid_tasks(dataset_name, method, grid, cfg, select, tau, loss, criteria_taus)
-    [best], records = _run_groups([tasks], {dataset_name: splits}, pool, select)
+    [best], records = _run_groups([tasks], {dataset_name: splits}, None, select)
     return best, records
 
 

@@ -141,21 +141,15 @@ class Model:
         )
 
 
-# Up to this many weights an ADAM step on Python floats costs less than the
-# fixed cost of its numpy calls: 12 against 18 us at 2 weights, about even at
-# 16 (2 vCPUs, numpy 2.4)
-_FLOAT_STEP_MAX_DIM = 8
-
-
 def adam_step(
     state: AdamState, grad: np.ndarray, params: AdamParams
 ) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected ADAM update of ``state`` in place; returns ``state`` and the weight delta.
 
     ``state.m``, ``state.v`` and ``state.step`` are overwritten in place; a
-    bad gradient raises before any of them changes.  Small states are
-    updated on Python floats, with the same IEEE operations in the same
-    order as the array path, so both give the same bits.
+    bad gradient raises before any of them changes.  The operations run in
+    the same order as a functional update that builds a new state, so both
+    give the same bits.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != state.m.shape:
@@ -165,17 +159,6 @@ def adam_step(
     state.step += 1
     b1, b2, lr, eps = params.beta1, params.beta2, params.step_size, params.epsilon
     c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
-    if grad.size <= _FLOAT_STEP_MAX_DIM:
-        ms, vs, delta = [], [], []
-        for m, v, g in zip(state.m.tolist(), state.v.tolist(), grad.tolist()):
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            ms.append(m)
-            vs.append(v)
-            delta.append(-lr * (m / c1) / (math.sqrt(v / c2) + eps))
-        state.m[:] = ms
-        state.v[:] = vs
-        return state, np.array(delta)
     m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * grad

@@ -13,7 +13,6 @@ from topclf.solver import (
     AdamState,
     Model,
     TrainConfig,
-    _FLOAT_STEP_MAX_DIM,
     adam_step,
     project_l2_ball,
     train,
@@ -52,8 +51,7 @@ class TestAdamStep:
             adam_step(state, np.array([1.0, np.inf]), AdamParams())
         assert state.step == 0 and not state.m.any() and not state.v.any()
 
-    # both sides of the float/array switch
-    @pytest.mark.parametrize("dim", [1, 3, _FLOAT_STEP_MAX_DIM, _FLOAT_STEP_MAX_DIM + 1, 30])
+    @pytest.mark.parametrize("dim", [1, 2, 30])
     def test_matches_functional_oracle_bitwise(self, dim):
         rng = np.random.default_rng(dim)
         params = AdamParams(step_size=0.05)
