@@ -14,7 +14,6 @@ rank tables aggregate.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import types
@@ -31,7 +30,7 @@ from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, evaluate, objective
 from .solver import TrainConfig, train
 from .surrogate import HINGE, SurrogateLoss, make_loss
-from .threshold import NEGATIVE_KINDS, RULES, check_pool, method_params, rule_from_token, scores
+from .threshold import RULES, check_pool, method_params, rule_from_token, scores
 
 __all__ = [
     "Grid",
@@ -66,6 +65,8 @@ class SelectCriterion:
 
     def __post_init__(self):
         check_criterion(self.kind, self.tau)
+        if self.kind == "positives_at_top" and self.tau is not None:
+            raise ValueError("select.tau must be unset: positives_at_top takes no tau")
 
 
 @dataclass
@@ -86,10 +87,11 @@ class RunRecord:
 
 def method_id(spec: ObjectiveSpec) -> str:
     """Readable method-instance label, one per (kind, tau) pair."""
-    token, _, _ = RULES[spec.rule.kind]
-    if spec.rule.tau is not None:
-        return f"{token}(tau={spec.rule.tau:g})"
-    return token
+    return _label(RULES[spec.rule.kind][0], spec.rule.tau)
+
+
+def _label(token: str, tau: float | None) -> str:
+    return token if tau is None else f"{token}(tau={tau:g})"
 
 
 def grid_points(method: str, grid: Grid) -> list[dict]:
@@ -106,11 +108,6 @@ def grid_points(method: str, grid: Grid) -> list[dict]:
     return points
 
 
-def _point_rule(method: str, tau: float | None, point: dict):
-    swept = {name: value for name, value in point.items() if name != "lambda"}
-    return rule_from_token(method, tau=tau, **swept)
-
-
 _SPLITS: dict[str, tuple[Dataset, Dataset, Dataset]] = {}
 
 
@@ -120,9 +117,8 @@ def _hold_splits(splits: dict[str, tuple[Dataset, Dataset, Dataset]]) -> None:
 
 
 def _run_point(task, splits=None) -> RunRecord:
-    dataset_name, method, tau, loss, cfg, taus, point = task
+    dataset_name, spec, cfg, taus, point = task
     splits = dict(zip(("train", "valid", "test"), splits or _SPLITS[dataset_name]))
-    spec = ObjectiveSpec(rule=_point_rule(method, tau, point), loss=loss, lam=point["lambda"])
     model = train(spec, splits["train"], cfg)
     zeros = np.zeros(splits["train"].m)
     return RunRecord(
@@ -140,34 +136,54 @@ def _run_point(task, splits=None) -> RunRecord:
 
 
 def _grid_tasks(
-    dataset_name: str, method: str, grid: Grid, cfg: TrainConfig, select: SelectCriterion,
-    tau: float | None, loss: SurrogateLoss, criteria_taus,
+    name: str, d_train: Dataset, method: str, tau: float | None, grid: Grid, cfg: TrainConfig,
+    loss: SurrogateLoss, select: SelectCriterion, criteria_taus,
 ) -> list[tuple]:
-    """One :func:`_run_point` task per grid point of ``method``, in grid order."""
+    """One :func:`_run_point` task per grid point of ``method``, in grid order, each
+    carrying its spec, built once and checked against the training split ``d_train``."""
     taus = list(criteria_taus) if criteria_taus is not None else []
     if select.tau is not None and select.tau not in taus:
         taus.append(select.tau)
-    points = grid_points(method, grid)
-    return [(dataset_name, method, tau, loss, cfg, taus, point) for point in points]
+    tasks = []
+    try:
+        check_minibatches(d_train, cfg.n_minibatch)
+        for point in grid_points(method, grid):
+            swept = {key: value for key, value in point.items() if key != "lambda"}
+            rule = rule_from_token(method, tau=tau, **swept)
+            spec = ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"])
+            check_pool(rule, d_train, cfg.n_minibatch)
+            tasks.append((name, spec, cfg, taus, point))
+    except ValueError as exc:
+        part = f"smallest of {cfg.n_minibatch} minibatches" if cfg.n_minibatch > 1 else "whole"
+        where = f"dataset {name!r}, method {method}, training split ({part})"
+        raise ManifestError(f"{where}: {exc}") from None
+    return tasks
 
 
-def _run_groups(
-    groups: list[list[tuple]], splits: dict, pool: ProcessPoolExecutor | None,
-    select: SelectCriterion,
+def _cells(records: list[RunRecord]) -> dict[tuple[str, str], list[RunRecord]]:
+    """The records of each (method, dataset) cell, cells in first-seen order."""
+    cells: dict[tuple[str, str], list[RunRecord]] = {}
+    for rec in records:
+        cells.setdefault((rec.method, rec.dataset), []).append(rec)
+    return cells
+
+
+def _run_tasks(
+    tasks: list[tuple], splits: dict, jobs: int, select: SelectCriterion
 ) -> tuple[list[RunRecord], list[RunRecord]]:
-    """Each group's validation winner (ties go to its earliest task) and every
-    record in task order, from one ``pool.map`` or, without a pool, this process."""
-    tasks = [task for group in groups for task in group]
-    if pool is not None:
-        records = list(pool.map(_run_point, tasks))
+    """Each cell's validation winner (ties go to its earliest task) and every
+    record in task order.  ``jobs`` > 1 runs one ``pool.map`` on at most
+    ``jobs`` workers, each given every split once; 1 runs in this process."""
+    if jobs > 1:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)), initializer=_hold_splits, initargs=(splits,)
+        ) as pool:
+            records = list(pool.map(_run_point, tasks))
     else:
         records = [_run_point(task, splits[task[0]]) for task in tasks]
     key = select.kind if select.kind == "positives_at_top" else f"{select.kind}@{select.tau:g}"
-    ordered = iter(records)  # each group takes the next len(group) records
-    winners = [
-        max((next(ordered) for _ in group), key=lambda r: r.criteria["valid"][key])
-        for group in groups
-    ]
+    cells = _cells(records).values()
+    winners = [max(recs, key=lambda r: r.criteria["valid"][key]) for recs in cells]
     return winners, records
 
 
@@ -187,8 +203,10 @@ def grid_search(
     This is the one-method view of :func:`run_manifest`, built from the same
     tasks and selected the same way; the points train in this process.
     """
-    tasks = _grid_tasks(dataset_name, method, grid, cfg, select, tau, loss, criteria_taus)
-    [best], records = _run_groups([tasks], {dataset_name: splits}, None, select)
+    tasks = _grid_tasks(
+        dataset_name, splits[0], method, tau, grid, cfg, loss, select, criteria_taus
+    )
+    [best], records = _run_tasks(tasks, {dataset_name: splits}, 1, select)
     return best, records
 
 
@@ -202,11 +220,8 @@ def zero_audit(records: list[RunRecord]) -> list[dict]:
     outcome column reads "all", "none", or a condition on the swept
     hyperparameter such as "beta <= 0.1".
     """
-    groups: dict[tuple[str, str], list[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.method, rec.dataset), []).append(rec)
     rows = []
-    for (method, dataset), recs in sorted(groups.items()):
+    for (method, dataset), recs in sorted(_cells(records).items()):
         successes = [r for r in recs if r.f_final < r.f_zero]
         if len(successes) == len(recs):
             outcome = "all"
@@ -395,6 +410,7 @@ def _check_manifest(manifest: dict) -> None:
         _check(entry, layout, f"datasets[{i}]", required)
         if entry["name"] in [prev["name"] for prev in manifest["datasets"][:i]]:
             raise ManifestError(f"datasets[{i}]: dataset name {entry['name']!r} is taken")
+    labels = []
     for i, entry in enumerate(manifest["methods"]):
         _check(entry.get("method", ""), str, f"methods[{i}].method")
         try:
@@ -406,26 +422,10 @@ def _check_manifest(manifest: dict) -> None:
         _check(entry, layout, f"methods[{i}]", ("method",))
         if "tau" in layout and "tau" not in entry:
             raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
-
-
-def _check_feasible(name: str, d_train: Dataset, methods, grid: Grid, n_minibatch: int) -> None:
-    """Reject a grid point that the training split ``d_train`` cannot support.
-
-    A threshold sees one minibatch, which holds at least floor(n / B) samples
-    and floor(n_neg / B) negatives.
-    """
-    part = f"smallest of {n_minibatch} minibatches" if n_minibatch > 1 else "whole"
-    for entry in methods:
-        try:
-            check_minibatches(d_train, n_minibatch)
-            for point in grid_points(entry["method"], grid):
-                rule = _point_rule(entry["method"], entry.get("tau"), point)
-                pool = d_train.n_neg if rule.kind in NEGATIVE_KINDS else d_train.n
-                check_pool(rule, pool // n_minibatch)
-        except ValueError as exc:
-            raise ManifestError(
-                f"dataset {name!r}, method {entry['method']}, training split ({part}): {exc}"
-            ) from None
+        label = _label(entry["method"], entry.get("tau"))
+        if label in labels:
+            raise ManifestError(f"methods[{i}]: method label {label!r} is taken")
+        labels.append(label)
 
 
 def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
@@ -436,10 +436,8 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     or missing key or a bad value raises :class:`ManifestError` before any
     data is loaded, and an empty split part or a grid point some training
     split cannot support before any training.
-    Every grid point of every (dataset, method) pair is queued as one task;
-    with ``jobs`` > 1 the tasks run in one map on one pool of at most
-    ``jobs`` workers, never more than there are tasks, and each worker gets
-    every split once.  ``jobs`` == 1 trains in this process.  Records keep
+    Every grid point of every (dataset, method) pair is one task, all run by
+    one :func:`_run_tasks` call (on a pool when ``jobs`` > 1); records keep
     the task order, and each pair's winner is picked as :func:`grid_search`
     picks it.
     Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
@@ -460,32 +458,21 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
             check_taus([tau])
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"invalid manifest value: {exc}") from None
-    splits = {}
+    splits, tasks = {}, []
     for entry in manifest["datasets"]:
         d = load_dataset(entry)
         try:
             splits[entry["name"]] = parts = split(d, spec_split)
         except ValueError as exc:
             raise ManifestError(f"dataset {entry['name']!r}: {exc}") from None
-        _check_feasible(entry["name"], parts[0], manifest["methods"], grid, cfg.n_minibatch)
+        for m in manifest["methods"]:
+            tasks += _grid_tasks(
+                entry["name"], parts[0], m["method"], m.get("tau"), grid, cfg, loss, select,
+                criteria_taus,
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    # the tasks of every grid point, grouped by (dataset, method) in manifest order
-    groups = [
-        _grid_tasks(name, m["method"], grid, cfg, select, m.get("tau"), loss, criteria_taus)
-        for name in splits
-        for m in manifest["methods"]
-    ]
-    n_tasks = sum(len(group) for group in groups)
-    with (
-        ProcessPoolExecutor(
-            max_workers=min(jobs, n_tasks), initializer=_hold_splits, initargs=(splits,)
-        )
-        if jobs > 1
-        else contextlib.nullcontext()
-    ) as pool:
-        winners, all_records = _run_groups(groups, splits, pool, select)
+    winners, all_records = _run_tasks(tasks, splits, jobs, select)
 
     write_json(out / "run_records.json", [vars(r) for r in all_records])
     ranks = rank_table(winners, sorted(winners[0].criteria["test"]))

@@ -27,12 +27,10 @@ class SurrogateLoss:
             raise ValueError(f"unknown surrogate loss {self.kind!r}; choose from {_KINDS}")
 
     def value(self, z):
-        z = _require_finite(z)
-        if self.kind == "hinge":
-            return np.maximum(0.0, 1.0 + z)
-        return np.maximum(0.0, 1.0 + z) ** 2
+        return self.value_and_deriv(z)[0]
 
     def deriv(self, z):
+        # its own formula: as a view of value_and_deriv the hinge deriv is 14x slower at 100k
         z = _require_finite(z)
         if self.kind == "hinge":
             return (z >= -1.0).astype(np.float64)

@@ -249,13 +249,8 @@ def threshold_scored(
 ) -> ThresholdResult:
     """Threshold, gradient weights and support for ``rule`` at the scores ``z`` of ``d``."""
     kind = rule.kind
-    if kind in NEGATIVE_KINDS:
-        sel = d.neg_idx
-        zsel = z[sel]
-    else:
-        sel = None
-        zsel = z
-    check_pool(rule, zsel.size)
+    sel = check_pool(rule, d)
+    zsel = z if sel is None else z[sel]
 
     if kind in TOP_K_KINDS:
         if kind == "top_push":
@@ -286,8 +281,13 @@ def threshold_scored(
     return ThresholdResult(t=float(t), support=support, weights=weights)
 
 
-def check_pool(rule: ThresholdRule, pool_size: int) -> None:
-    """Raise unless ``rule`` can pick a threshold from a pool of ``pool_size`` scores."""
+def check_pool(rule: ThresholdRule, d: Dataset, parts: int = 1) -> np.ndarray | None:
+    """The rows of ``d`` whose scores ``rule`` thresholds over: its negatives,
+    or None for every row.  Raises unless the smallest pool of ``d`` dealt into
+    ``parts`` minibatches, floor(pool / parts) scores, can support ``rule``.
+    """
+    sel = d.neg_idx if rule.kind in NEGATIVE_KINDS else None
+    pool_size = (d.n if sel is None else sel.size) // parts
     if pool_size == 0:
         raise ValueError(f"{rule.kind} needs at least one sample in its score pool")
     if rule.kind == "top_push_k" and rule.k > pool_size:
@@ -296,3 +296,4 @@ def check_pool(rule: ThresholdRule, pool_size: int) -> None:
         raise ValueError(
             f"{rule.kind} needs tau * pool >= 1; got tau={rule.tau} over {pool_size} samples"
         )
+    return sel

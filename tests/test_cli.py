@@ -485,6 +485,17 @@ class TestGrid:
             )
         assert exc.value.code == 2
 
+    def test_tau_on_positives_at_top_is_usage_error(self, data_csv, tmp_path, capsys):
+        # a tau there used to add positives_at_*@tau columns to rank_table.csv
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "grid", "--method", "toppush", "--data", data_csv, "--criterion",
+                "positives_at_top", "--criterion-tau", 0.5, "--out", tmp_path / "g",
+            )
+        assert exc.value.code == 2
+        assert "select.tau" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_bad_manifest_criterion_is_usage_error(self, tmp_path, capsys):
         manifest = {
             "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],

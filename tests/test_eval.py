@@ -294,9 +294,9 @@ class TestScorePasses:
     def test_run_point_scores_each_split_once(self, monkeypatch):
         parts = split(synth_example(40, seed=1), SplitSpec(seed=2))
         cfg = TrainConfig(iterations=3)
-        task = ("synth", "patmat", 0.2, HINGE, cfg, [0.1, 0.3], {"beta": 1.0, "lambda": 0.0})
+        spec = ObjectiveSpec(rule=rule_from_token("patmat", tau=0.2, beta=1.0), loss=HINGE)
+        task = ("synth", spec, cfg, [0.1, 0.3], {"beta": 1.0, "lambda": 0.0})
         # training and f(w) score the training split on their own; stub them to see the criteria
-        spec = ObjectiveSpec(rule=rule_from_token("patmat", tau=0.2, beta=1.0))
         model = train(spec, parts[0], cfg)
         monkeypatch.setattr(experiment, "train", lambda spec, d, cfg: model)
         monkeypatch.setattr(experiment, "objective", lambda spec, w, d: 0.0)

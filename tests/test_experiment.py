@@ -110,6 +110,7 @@ class TestGridSearch:
             ("positives_at_quantile", 1.5, r"\(0, 1\]"),
             ("positives_at_np", 0.0, r"\(0, 1\]"),
             ("positives_at_top", -0.5, r"\(0, 1\]"),
+            ("positives_at_top", 0.5, "select.tau must be unset"),
         ],
     )
     def test_select_criterion_rejected_up_front(self, kind, tau, message):
@@ -445,6 +446,17 @@ class TestRunScheduling:
         assert without_wall_times(result["records"]) == without_wall_times(records)
         assert without_wall_times(result["winners"]) == without_wall_times(winners)
 
+    def test_each_grid_point_builds_its_rule_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rule_from_token(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "rule_from_token", counted)
+        result = run_manifest(uneven_manifest(), tmp_path, jobs=1)
+        assert len(calls) == len(result["records"]) == 2 * (6 + 2 + 3)
+
     @pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (64, 22)])
     def test_one_map_on_at_most_one_worker_per_task(self, tmp_path, pools, jobs, workers):
         run_manifest(uneven_manifest(), tmp_path, jobs=jobs)
@@ -532,6 +544,25 @@ class TestManifestKeys:
         with pytest.raises(ManifestError, match="'synth' is taken"):
             run_manifest(manifest, tmp_path / "out")
 
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            [{"method": "patmat", "tau": 0.1}, {"method": "patmat", "tau": 0.1}],
+            # both label as patmat(tau=0.1)
+            [{"method": "patmat", "tau": 0.1}, {"method": "patmat", "tau": 0.1000001}],
+            [{"method": "toppush"}, {"method": "grill", "tau": 0.1}, {"method": "toppush"}],
+        ],
+    )
+    def test_shared_method_label_rejected_before_loading(self, tmp_path, methods):
+        manifest = small_manifest()
+        manifest["datasets"] = [{"name": "gone", "path": "missing.csv", "label": "y", "pos": "1"}]
+        manifest["methods"] = methods
+        label = re.escape(method_id(template(methods[-1]["method"], tau=methods[-1].get("tau"))))
+        message = f"^methods\\[{len(methods) - 1}\\]: method label '{label}' is taken$"
+        with pytest.raises(ManifestError, match=message):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_tau_rejected(self, tmp_path):
         manifest = small_manifest()
         del manifest["methods"][1]["tau"]
@@ -546,6 +577,7 @@ class TestManifestKeys:
             ({"criterion": "positives_at_np", "tau": 1.5}, r"\(0, 1\]"),
             ({"criterion": "positives_at_quantile", "tau": 0.0}, r"\(0, 1\]"),
             ({"tau": 0.1}, "unknown criterion"),
+            ({"criterion": "positives_at_top", "tau": 0.5}, "select.tau must be unset"),
         ],
     )
     def test_bad_selection_rejected_before_any_work(self, tmp_path, select, message):
@@ -756,6 +788,9 @@ class TestFeasibility:
             ([{"method": "toppushk"}], {"ks": [0]}, 1, "positive integer k"),
             ([{"method": "toppush"}, {"method": "toppushk"}], {"ks": []}, 1,
              "empty hyperparameter grid for toppushk"),
+            # a negative lambda used to fail in training, after the output directory was made
+            ([{"method": "toppush"}], {"lambdas": [0.0, -1.0]}, 1,
+             r"\(whole\): lambda must be non-negative, got -1.0"),
         ],
     )
     def test_infeasible_point_rejected_before_training(

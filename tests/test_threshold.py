@@ -19,6 +19,7 @@ from topclf.surrogate import HINGE, QUADRATIC_HINGE
 from topclf.threshold import (
     NEGATIVE_KINDS,
     ThresholdRule,
+    check_pool,
     exact_quantile,
     rule_from_token,
     scores,
@@ -268,6 +269,15 @@ class TestDispatch:
         d = random_dataset(np.random.default_rng(3), n=10)
         with pytest.raises(ValueError, match="exceeds"):
             threshold_scored(ThresholdRule("top_push_k", k=d.n_neg + 1), scores(np.ones(d.m), d), d)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_check_pool_reads_the_smallest_minibatch_pool(self, parts):
+        d = random_dataset(np.random.default_rng(5), n=23)
+        k = d.n_neg // parts
+        assert check_pool(ThresholdRule("top_push_k", k=k), d, parts) is d.neg_idx
+        with pytest.raises(ValueError, match=f"k={k + 1} exceeds the {k} negative"):
+            check_pool(ThresholdRule("top_push_k", k=k + 1), d, parts)
+        assert check_pool(ThresholdRule("top_mean", tau=0.5), d, parts) is None
 
     def test_tau_pool_too_small(self):
         d = random_dataset(np.random.default_rng(4), n=12)
