@@ -134,14 +134,20 @@ def cmd_eval(args, parser, curves_only: bool = False) -> int:
 
 
 def cmd_synth(args, parser) -> int:
-    dataset = synth_example(args.n, args.seed)
+    try:
+        dataset = synth_example(args.n, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     save_csv(dataset, args.out)
     print(f"wrote {args.out} ({dataset.n} samples)")
     return 0
 
 
 def cmd_reproduce(args, parser) -> int:
-    rows = reproduce_worked_example(n=args.n, tau=args.tau, beta=args.beta, k=args.k, seed=args.seed)
+    try:
+        rows = reproduce_worked_example(args.n, args.tau, args.beta, args.k, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     header = ["method", "point", "t", "t_expected", "f", "f_expected"]
     print("  ".join(f"{h:>11s}" for h in header))
     for row in rows:

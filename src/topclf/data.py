@@ -20,7 +20,6 @@ __all__ = [
     "load_libsvm",
     "split",
     "minibatch_epoch",
-    "minibatches",
     "synth_example",
 ]
 
@@ -373,8 +372,8 @@ def check_minibatches(d: Dataset, n_minibatch: int) -> None:
         )
 
 
-def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list[np.ndarray]:
-    """Class-stratified index partition for one epoch.
+def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list[Dataset]:
+    """One epoch's class-stratified minibatches of ``d``, as Datasets.
 
     Every epoch shuffles the positives and the negatives separately with a
     stream derived from (seed, epoch), lines up the shuffled positives
@@ -383,22 +382,16 @@ def minibatch_epoch(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list
     class, differ by at most one.  The objective normalizes by the batch's
     positive count, so every chunk must hold both classes: more than
     min(n_pos, n_neg) chunks is an error.
+
+    The epoch's rows are gathered in one copy and each minibatch is a view of
+    its contiguous block.  Each batch lists its positives before its
+    negatives: the row order fixes the order in which the objective and the
+    threshold sum over a batch, so it fixes their bits.
     """
     check_minibatches(d, n_minibatch)
     rng = np.random.default_rng([seed, epoch])
     order = np.concatenate((rng.permutation(d.pos_idx), rng.permutation(d.neg_idx)))
-    return [order[i::n_minibatch] for i in range(n_minibatch)]
-
-
-def minibatches(d: Dataset, n_minibatch: int, seed: int, epoch: int) -> list[Dataset]:
-    """The chunks of :func:`minibatch_epoch` as Datasets, rows in chunk order.
-
-    The epoch's rows are gathered in one copy and each minibatch is a view of
-    its contiguous block.  Each chunk lists its positives before its
-    negatives: the row order fixes the order in which the objective and the
-    threshold sum over a batch, so it fixes their bits.
-    """
-    chunks = minibatch_epoch(d, n_minibatch, seed, epoch)
+    chunks = [order[i::n_minibatch] for i in range(n_minibatch)]
     rows = np.concatenate(chunks)
     # np.take copies whole rows faster than fancy indexing
     features, labels = np.take(d.features, rows, axis=0), d.labels[rows]

@@ -29,7 +29,7 @@ from .data import synth_example, write_csv, write_json
 from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, evaluate, objective
 from .solver import TrainConfig, train
-from .surrogate import HINGE, SurrogateLoss, make_loss
+from .surrogate import SurrogateLoss, make_loss
 from .threshold import RULES, check_pool, method_params, rule_from_token, scores
 
 __all__ = [
@@ -168,12 +168,12 @@ def _cells(records: list[RunRecord]) -> dict[tuple[str, str], list[RunRecord]]:
     return cells
 
 
-def _run_tasks(
+def grid_search(
     tasks: list[tuple], splits: dict, jobs: int, select: SelectCriterion
 ) -> tuple[list[RunRecord], list[RunRecord]]:
-    """Each cell's validation winner (ties go to its earliest task) and every
-    record in task order.  ``jobs`` > 1 runs one ``pool.map`` on at most
-    ``jobs`` workers, each given every split once; 1 runs in this process."""
+    """Train every task; return each cell's validation winner (ties go to its
+    earliest task) and every record in task order.  ``jobs`` > 1 runs one
+    ``pool.map`` on at most ``jobs`` workers, each given every split once."""
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)), initializer=_hold_splits, initargs=(splits,)
@@ -185,29 +185,6 @@ def _run_tasks(
     cells = _cells(records).values()
     winners = [max(recs, key=lambda r: r.criteria["valid"][key]) for recs in cells]
     return winners, records
-
-
-def grid_search(
-    method: str, grid: Grid, splits: tuple[Dataset, Dataset, Dataset], cfg: TrainConfig,
-    select: SelectCriterion, tau: float | None = None, loss: SurrogateLoss = HINGE,
-    dataset_name: str = "data", criteria_taus=None,
-) -> tuple[RunRecord, list[RunRecord]]:
-    """Train one model per grid point of ``method`` and pick the validation winner.
-
-    Each grid point supplies the swept hyperparameters of the rule (k or
-    beta) and lambda; ``tau`` and ``loss`` are fixed for the whole grid.
-    Returns (best record, all records).  The winner maximizes the selection
-    criterion on the validation split; ties go to the earlier grid point, so
-    the result is a pure function of the inputs.
-
-    This is the one-method view of :func:`run_manifest`, built from the same
-    tasks and selected the same way; the points train in this process.
-    """
-    tasks = _grid_tasks(
-        dataset_name, splits[0], method, tau, grid, cfg, loss, select, criteria_taus
-    )
-    [best], records = _run_tasks(tasks, {dataset_name: splits}, 1, select)
-    return best, records
 
 
 _AUDIT_COLUMNS = ("method", "dataset", "outcome", "n_success", "n_points")
@@ -308,6 +285,8 @@ def reproduce_worked_example(
     """
     if n < 1000:
         raise ValueError("n must be at least 1000 for the limits to be meaningful")
+    # each rule checks its parameters before any data is made
+    specs = [ObjectiveSpec(rule=rule_from_token(t, k=k, tau=tau, beta=beta)) for t in methods]
     d = synth_example(n, seed)
     w1 = np.zeros(2)
     w2 = np.array([1.0, 0.0])
@@ -323,8 +302,7 @@ def reproduce_worked_example(
         "topmean": {"w1": (0.0, 1.0), "w2": (1.0 - tau, 1.5 - tau)},
     }
     rows = []
-    for token in methods:
-        spec = ObjectiveSpec(rule=rule_from_token(token, k=k, tau=tau, beta=beta))
+    for token, spec in zip(methods, specs):
         for point_name, w in (("w1", w1), ("w2", w2)):
             f_meas, _, tres = evaluate(spec, w, d)
             t_exp, f_exp = expected[token][point_name]
@@ -360,7 +338,7 @@ _field_types = functools.cache(typing.get_type_hints)
 
 
 class ManifestError(ValueError):
-    """A bad manifest key or value, an empty split part, an infeasible grid point or jobs < 1."""
+    """A bad manifest entry, a split part lacking a class, an infeasible grid point or jobs < 1."""
 
 
 def _check(value, layout, where: str = "", required=()) -> None:
@@ -434,12 +412,10 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     The manifest lists datasets, method instances, grid overrides, the train
     configuration, split fractions and the selection criterion.  An unknown
     or missing key or a bad value raises :class:`ManifestError` before any
-    data is loaded, and an empty split part or a grid point some training
-    split cannot support before any training.
+    data is loaded, and a split part that is empty or lacks a class or a grid
+    point some training split cannot support before any training.
     Every grid point of every (dataset, method) pair is one task, all run by
-    one :func:`_run_tasks` call (on a pool when ``jobs`` > 1); records keep
-    the task order, and each pair's winner is picked as :func:`grid_search`
-    picks it.
+    one :func:`grid_search` call (on a pool when ``jobs`` > 1).
     Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
     and timing.csv.
     """
@@ -463,6 +439,10 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
         d = load_dataset(entry)
         try:
             splits[entry["name"]] = parts = split(d, spec_split)
+            for part, p in zip(("train", "validation", "test"), parts):
+                for kind, count in (("positive", p.n_pos), ("negative", p.n_neg)):
+                    if not count:
+                        raise ValueError(f"the {part} part has no {kind} samples")
         except ValueError as exc:
             raise ManifestError(f"dataset {entry['name']!r}: {exc}") from None
         for m in manifest["methods"]:
@@ -472,7 +452,7 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
             )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    winners, all_records = _run_tasks(tasks, splits, jobs, select)
+    winners, all_records = grid_search(tasks, splits, jobs, select)
 
     write_json(out / "run_records.json", [vars(r) for r in all_records])
     ranks = rank_table(winners, sorted(winners[0].criteria["test"]))

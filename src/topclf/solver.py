@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, minibatches
+from .data import Dataset, minibatch_epoch
 from .objective import ObjectiveSpec, evaluate
 from .surrogate import make_loss
 from .threshold import QUANTILE_KINDS, ThresholdRule, scores, threshold_scored
@@ -203,7 +203,7 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
         if pos == 0 and cfg.n_minibatch > 1:
             # release the old epoch's rows before gathering the next one
             batches = None
-            batches = minibatches(d_train, cfg.n_minibatch, cfg.seed, epoch)
+            batches = minibatch_epoch(d_train, cfg.n_minibatch, cfg.seed, epoch)
         value, grad, _ = evaluate(spec, w, batches[pos])
         if not math.isfinite(value):
             raise FloatingPointError(

@@ -10,6 +10,7 @@ from helpers import save_libsvm
 from test_experiment import GRID_ARTIFACTS, grid_artifacts
 
 import topclf
+from topclf import experiment
 from topclf.cli import main
 from topclf.data import Dataset, load_csv, save_csv
 
@@ -64,6 +65,13 @@ class TestSynth:
         run("synth", "--n", 50, "--seed", 9, "--out", a)
         run("synth", "--n", 50, "--seed", 9, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bad_n_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--n", 0, "--out", tmp_path / "ex.csv")
+        assert exc.value.code == 2
+        assert "n must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "ex.csv").exists()
 
 
 class TestTrain:
@@ -269,6 +277,29 @@ class TestReproduce:
         assert len(lines) == 11  # header + 5 methods x 2 points
         assert "toppush" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", 10], "n must be at least 1000"),
+            (["--tau", 2], "requires tau in (0, 1)"),
+            (["--beta", 0], "requires beta > 0"),
+            (["--k", 0], "requires a positive integer k"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error_before_any_data(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # a data set made anyway would exit 1, so exit 2 shows the check comes first
+        def fail(*args):
+            raise AssertionError("the worked-example data was made")
+
+        monkeypatch.setattr(experiment, "synth_example", fail)
+        with pytest.raises(SystemExit) as exc:
+            run("reproduce", *flags, "--out", tmp_path / "w.csv")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
 
 class TestGrid:
     def test_single_point_grid(self, data_csv, tmp_path):
@@ -401,8 +432,13 @@ class TestGrid:
                 lambda m: m["datasets"][0].update(format="parquet"),
                 "unknown dataset format 'parquet' in datasets[0]",
             ),
+            (
+                lambda m: m["datasets"][0].update(n=2),
+                "dataset 'synth': the test part has no positive samples",
+            ),
         ],
-        ids=["select", "n", "method", "infeasible-k", "select-type", "empty-split", "format"],
+        ids=["select", "n", "method", "infeasible-k", "select-type", "empty-split", "format",
+             "no-test-positive"],
     )
     def test_missing_key_or_infeasible_point_is_usage_error(
         self, tmp_path, capsys, edit, message

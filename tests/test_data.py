@@ -11,7 +11,6 @@ from topclf.data import (
     load_csv,
     load_libsvm,
     minibatch_epoch,
-    minibatches,
     save_csv,
     split,
     synth_example,
@@ -211,25 +210,28 @@ class TestSplit:
 
 class TestMinibatches:
     def balanced(self, n):
+        # the one feature holds the row index, so a batch names the rows it took
         labels = np.zeros(n, bool)
         labels[::2] = True
-        return Dataset(np.arange(2.0 * n).reshape(n, 2), labels)
+        return Dataset(np.arange(float(n))[:, None], labels)
+
+    def rows(self, batches):
+        return [batch.features[:, 0].astype(int).tolist() for batch in batches]
 
     def test_two_chunks_of_five(self):
         for epoch in (0, 3):
-            chunks = minibatch_epoch(self.balanced(10), 2, seed=0, epoch=epoch)
-            assert sorted(len(c) for c in chunks) == [5, 5]
+            batches = minibatch_epoch(self.balanced(10), 2, seed=0, epoch=epoch)
+            assert sorted(b.n for b in batches) == [5, 5]
 
     def test_sizes_differ_by_at_most_one(self):
         for epoch in (0, 3):
-            chunks = minibatch_epoch(self.balanced(10), 3, seed=1, epoch=epoch)
-            assert sorted(len(c) for c in chunks) == [3, 3, 4]
+            batches = minibatch_epoch(self.balanced(10), 3, seed=1, epoch=epoch)
+            assert sorted(b.n for b in batches) == [3, 3, 4]
 
     def test_partition_exact(self):
         for epoch in (0, 3):
-            chunks = minibatch_epoch(self.balanced(11), 3, seed=4, epoch=epoch)
-            joined = np.sort(np.concatenate(chunks))
-            assert joined.tolist() == list(range(11))
+            batches = minibatch_epoch(self.balanced(11), 3, seed=4, epoch=epoch)
+            assert sorted(sum(self.rows(batches), [])) == list(range(11))
 
     def test_singleton_chunks_are_one_class(self):
         with pytest.raises(ValueError, match="one class"):
@@ -237,23 +239,22 @@ class TestMinibatches:
 
     def test_epochs_reshuffle_deterministically(self):
         d = self.balanced(12)
-        e0a = minibatch_epoch(d, 2, seed=9, epoch=0)
-        e0b = minibatch_epoch(d, 2, seed=9, epoch=0)
-        e1 = minibatch_epoch(d, 2, seed=9, epoch=1)
-        assert all(np.array_equal(a, b) for a, b in zip(e0a, e0b))
-        assert not all(np.array_equal(a, b) for a, b in zip(e0a, e1))
+        e0a = self.rows(minibatch_epoch(d, 2, seed=9, epoch=0))
+        e0b = self.rows(minibatch_epoch(d, 2, seed=9, epoch=0))
+        e1 = self.rows(minibatch_epoch(d, 2, seed=9, epoch=1))
+        assert e0a == e0b
+        assert e0a != e1
 
-    def test_batches_match_chunk_subsets(self):
+    def test_batches_are_stratified_positives_first(self):
         d = self.balanced(11)
-        chunks = minibatch_epoch(d, 3, seed=4, epoch=2)
-        batches = minibatches(d, 3, seed=4, epoch=2)
-        for chunk, batch in zip(chunks, batches, strict=True):
-            sub = d.subset(chunk)
-            assert np.array_equal(batch.features, sub.features)
-            assert np.array_equal(batch.labels, sub.labels)
+        batches = minibatch_epoch(d, 3, seed=4, epoch=2)
+        for batch, rows in zip(batches, self.rows(batches), strict=True):
+            assert np.array_equal(batch.labels, d.labels[rows])
             # positives first: the row order fixes the batch's summation order
-            assert batch.labels.tolist() == [True] * sub.n_pos + [False] * sub.n_neg
+            assert batch.labels.tolist() == [True] * batch.n_pos + [False] * batch.n_neg
             assert not batch.features.flags.writeable
+        # 6 positives and 5 negatives dealt into 3 batches
+        assert sorted((b.n_pos, b.n_neg) for b in batches) == [(2, 1), (2, 2), (2, 2)]
 
 
 class TestSynthExample:

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import save_libsvm
 from topclf import experiment
-from topclf.data import Dataset, SplitSpec, save_csv, split, synth_example
+from topclf.data import Dataset, SplitSpec, save_csv, synth_example
 from topclf.experiment import (
     FIXED_LAMBDA,
     Grid,
@@ -80,9 +80,21 @@ class TestGrid:
         assert grid_points("grill", g) == [{"lambda": lam} for lam in g.lambdas]
 
 
-@pytest.fixture(scope="module")
-def splits():
-    return split(synth_example(400, seed=2), SplitSpec(0.5, 0.25, 0.25, seed=1))
+def one_pair(out, method, grid, train, select, tau=None):
+    """(winner, records) of :func:`run_manifest` with one method on one dataset:
+    ``synth_example(400, seed=2)``, split half/quarter/quarter with split seed 1."""
+    manifest = {
+        "datasets": [{"name": "data", "format": "synth", "n": 400, "seed": 2}],
+        "methods": [{"method": method} if tau is None else {"method": method, "tau": tau}],
+        "grid": grid,
+        "train": train,
+        "split": {"seed": 1},
+        "select": select,
+        "criteria_taus": [],
+    }
+    result = run_manifest(manifest, out)
+    [best] = result["winners"]
+    return best, result["records"]
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +104,10 @@ def big_data():
 
 
 class TestGridSearch:
-    def test_single_point_grid(self, splits):
-        grid = Grid(lambdas=(0.001,))
-        cfg = TrainConfig(iterations=40, seed=0)
-        best, records = grid_search(
-            "toppush", grid, splits, cfg, SelectCriterion("positives_at_top")
+    def test_single_point_grid(self, tmp_path):
+        best, records = one_pair(
+            tmp_path, "toppush", {"lambdas": [0.001]}, {"iterations": 40, "seed": 0},
+            {"criterion": "positives_at_top"},
         )
         assert len(records) == 1
         assert best is records[0]
@@ -117,30 +128,31 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=message):
             SelectCriterion(kind, tau=tau)
 
-    def test_dominant_point_selected(self, splits):
-        grid = Grid(betas=(0.1, 10.0))
-        cfg = TrainConfig(iterations=150, seed=0)
-        select = SelectCriterion("positives_at_quantile", tau=0.2)
-        best, records = grid_search("patmat", grid, splits, cfg, select, tau=0.2)
+    def test_dominant_point_selected(self, tmp_path):
+        select = {"criterion": "positives_at_quantile", "tau": 0.2}
+        best, records = one_pair(
+            tmp_path, "patmat", {"betas": [0.1, 10.0]}, {"iterations": 150, "seed": 0}, select,
+            tau=0.2,
+        )
         key = "positives_at_quantile@0.2"
         values = [r.criteria["valid"][key] for r in records]
         assert best.criteria["valid"][key] == max(values)
 
-    def test_patmat_beta_sweep_small_beta_escapes_zero(self, splits):
-        cfg = TrainConfig(iterations=300, seed=0)
-        select = SelectCriterion("positives_at_quantile", tau=0.2)
-        best, records = grid_search("patmat", Grid(), splits, cfg, select, tau=0.2)
+    def test_patmat_beta_sweep_small_beta_escapes_zero(self, tmp_path):
+        select = {"criterion": "positives_at_quantile", "tau": 0.2}
+        best, records = one_pair(
+            tmp_path, "patmat", {}, {"iterations": 300, "seed": 0}, select, tau=0.2
+        )
         chosen = best.params["beta"]
         for r in records:
             if r.params["beta"] <= chosen:
                 assert r.f_final < r.f_zero
 
-    def test_deterministic(self, splits):
-        grid = Grid(lambdas=(0.0, 0.01))
-        cfg = TrainConfig(iterations=30, seed=7)
-        select = SelectCriterion("positives_at_top")
-        _, rec_a = grid_search("toppush", grid, splits, cfg, select)
-        _, rec_b = grid_search("toppush", grid, splits, cfg, select)
+    def test_deterministic(self, tmp_path):
+        grid = {"lambdas": [0.0, 0.01]}
+        train, select = {"iterations": 30, "seed": 7}, {"criterion": "positives_at_top"}
+        _, rec_a = one_pair(tmp_path / "a", "toppush", grid, train, select)
+        _, rec_b = one_pair(tmp_path / "b", "toppush", grid, train, select)
         for a, b in zip(rec_a, rec_b):
             assert a.f_final == b.f_final
             assert a.criteria == b.criteria
@@ -182,18 +194,12 @@ class TestZeroAudit:
         ]
         assert zero_audit(recs)[0]["outcome"] == "beta = 0.01"
 
-    def test_top_mean_fails_everywhere_on_balanced_data(self, splits):
+    def test_top_mean_fails_everywhere_on_balanced_data(self, tmp_path):
         # half the samples are positive and tau is far below that, so the
         # zero-weights objective is a global minimum no lambda can beat
-        grid = Grid(lambdas=(0.0, 0.001, 0.01))
-        cfg = TrainConfig(iterations=120, seed=0)
-        _, records = grid_search(
-            "topmean",
-            grid,
-            splits,
-            cfg,
-            SelectCriterion("positives_at_quantile", tau=0.2),
-            tau=0.2,
+        _, records = one_pair(
+            tmp_path, "topmean", {"lambdas": [0.0, 0.001, 0.01]}, {"iterations": 120, "seed": 0},
+            {"criterion": "positives_at_quantile", "tau": 0.2}, tau=0.2,
         )
         rows = zero_audit(records)
         assert rows[0]["outcome"] == "none"
@@ -427,21 +433,17 @@ def without_wall_times(records):
 class TestRunScheduling:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_matches_grid_search_per_pair(self, tmp_path, jobs):
+        # the full run against one run per (dataset, method) pair, on one process
         manifest = uneven_manifest()
-        result = run_manifest(manifest, tmp_path, jobs=jobs)
-        grid = Grid(**manifest["grid"])
-        cfg = TrainConfig(**manifest["train"])
-        select = SelectCriterion("positives_at_top")
+        result = run_manifest(manifest, tmp_path / "all", jobs=jobs)
         winners, records = [], []
         for entry in manifest["datasets"]:
-            parts = split(synth_example(entry["n"], entry["seed"]), SplitSpec(**manifest["split"]))
-            for m in manifest["methods"]:
-                best, recs = grid_search(
-                    m["method"], grid, parts, cfg, select, tau=m.get("tau"),
-                    dataset_name=entry["name"], criteria_taus=manifest["criteria_taus"],
-                )
-                winners.append(best)
-                records.extend(recs)
+            for i, m in enumerate(manifest["methods"]):
+                pair = dict(manifest, datasets=[entry], methods=[m])
+                one = run_manifest(pair, tmp_path / f"{entry['name']}-{i}")
+                winners.extend(one["winners"])
+                records.extend(one["records"])
+        assert len(winners) == 2 * 3
         assert len(records) == 2 * (6 + 2 + 3)
         assert without_wall_times(result["records"]) == without_wall_times(records)
         assert without_wall_times(result["winners"]) == without_wall_times(winners)
@@ -458,8 +460,19 @@ class TestRunScheduling:
         assert len(calls) == len(result["records"]) == 2 * (6 + 2 + 3)
 
     @pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (64, 22)])
-    def test_one_map_on_at_most_one_worker_per_task(self, tmp_path, pools, jobs, workers):
+    def test_one_map_on_at_most_one_worker_per_task(
+        self, tmp_path, monkeypatch, pools, jobs, workers
+    ):
+        # one grid_search call runs every task of the run
+        calls = []
+
+        def counted(tasks, *args):
+            calls.append(len(tasks))
+            return grid_search(tasks, *args)
+
+        monkeypatch.setattr(experiment, "grid_search", counted)
         run_manifest(uneven_manifest(), tmp_path, jobs=jobs)
+        assert calls == [22]
         if workers is None:
             assert pools == []
         else:
@@ -812,6 +825,27 @@ class TestFeasibility:
         manifest["split"] = dict(zip(("train_frac", "valid_frac", "test_frac"), fractions))
         message = f"^dataset 'tiny': split would leave the {part} part empty$"
         with pytest.raises(ManifestError, match=message):
+            run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "n, split, message",
+        [
+            # the default stratified split deals both positives to train and validation
+            (2, {}, "the test part has no positive samples"),
+            (3, {"stratified": False, "seed": 5}, "the validation part has no positive samples"),
+            (3, {"stratified": False, "seed": 4}, "the train part has no negative samples"),
+        ],
+    )
+    def test_split_part_lacking_a_class_rejected_before_training(
+        self, tmp_path, no_training, n, split, message
+    ):
+        # criteria on a part without both classes are undefined, and used to
+        # fail only after every grid point had trained
+        manifest = self.manifest([{"method": "toppush"}], {})
+        manifest["datasets"][0]["n"] = n
+        manifest["split"] = split
+        with pytest.raises(ManifestError, match=f"^dataset 'tiny': {message}$"):
             run_manifest(manifest, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import central_diff, oracle_adam_step, random_dataset
+from topclf import solver
 from topclf.data import Dataset, minibatch_epoch, synth_example
 from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.solver import (
@@ -183,7 +184,7 @@ class TestTrain:
     def test_minibatch_gradient_is_exact_on_chunk(self):
         rng = np.random.default_rng(7)
         d = random_dataset(rng, n=40, m=3)
-        chunk = d.subset(minibatch_epoch(d, 4, seed=2, epoch=0)[1])
+        chunk = minibatch_epoch(d, 4, seed=2, epoch=0)[1]
         spec = ObjectiveSpec(rule=ThresholdRule("top_push_k", k=2), lam=0.01)
         w = rng.uniform(-1, 1, 3)
         fd = central_diff(lambda v: objective(spec, v, chunk), w)
@@ -202,6 +203,18 @@ class TestTrain:
         message = "need at least one positive and one negative sample"
         with pytest.raises(ValueError, match=message):
             train(toppush_spec(), d, TrainConfig(iterations=3))
+
+    def test_one_minibatch_epoch_call_per_epoch(self, monkeypatch):
+        epochs = []
+
+        def counted(d, n_minibatch, seed, epoch):
+            epochs.append(epoch)
+            return minibatch_epoch(d, n_minibatch, seed, epoch)
+
+        monkeypatch.setattr(solver, "minibatch_epoch", counted)
+        d = random_dataset(np.random.default_rng(9), n=40)
+        train(toppush_spec(), d, TrainConfig(iterations=3 * 4, n_minibatch=4, seed=0))
+        assert epochs == [0, 1, 2]
 
     def test_minibatch_training_holds_one_epoch_copy(self):
         # each epoch gathers one shuffled copy of the rows; the previous
@@ -240,11 +253,14 @@ class TestImbalancedMinibatches:
         cfg = TrainConfig(iterations=64, n_minibatch=32, seed=3)
         model = train(ObjectiveSpec(rule=ThresholdRule("top_push")), d, cfg)
         assert np.all(np.isfinite(model.history.objective))
+        # the same labels with a row-index feature deal the same rows
+        rows = Dataset(np.arange(float(d.n))[:, None], labels)
         for epoch in range(2):
-            batches = minibatch_epoch(d, 32, seed=3, epoch=epoch)
-            assert sorted(np.concatenate(batches).tolist()) == list(range(d.n))
-            assert {int(d.labels[b].sum()) for b in batches} == {1, 2}
-            assert max(b.size for b in batches) - min(b.size for b in batches) <= 1
+            batches = minibatch_epoch(rows, 32, seed=3, epoch=epoch)
+            taken = np.concatenate([b.features[:, 0] for b in batches]).astype(int)
+            assert sorted(taken.tolist()) == list(range(d.n))
+            assert {b.n_pos for b in batches} == {1, 2}
+            assert max(b.n for b in batches) - min(b.n for b in batches) <= 1
 
     def test_more_batches_than_positives_rejected(self):
         labels = np.zeros(200, bool)
