@@ -107,6 +107,8 @@ class SplitSpec:
             raise ValueError(f"fractions must lie in [0,1], got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-12:
             raise ValueError(f"fractions must sum to 1, got {sum(fracs)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def fractions(self) -> tuple[float, float, float]:
@@ -411,6 +413,8 @@ def synth_example(n: int, seed: int = 0) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     pos = np.column_stack([rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)])
     neg = np.column_stack([rng.uniform(-1.0, 0.0, n), rng.uniform(-1.0, 1.0, n)])

@@ -29,7 +29,7 @@ from .data import synth_example, write_csv, write_json
 from .evaluation import check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, evaluate, objective
 from .solver import TrainConfig, train
-from .surrogate import SurrogateLoss, make_loss
+from .surrogate import make_loss
 from .threshold import RULES, check_pool, method_params, rule_from_token, scores
 
 __all__ = [
@@ -108,19 +108,20 @@ def grid_points(method: str, grid: Grid) -> list[dict]:
     return points
 
 
-_SPLITS: dict[str, tuple[Dataset, Dataset, Dataset]] = {}
+# the run's splits by dataset name, train config and criteria taus, set by _hold_run
+_RUN: dict = {}
 
 
-def _hold_splits(splits: dict[str, tuple[Dataset, Dataset, Dataset]]) -> None:
-    """Pool initializer: a worker keeps every split of the run, by dataset name."""
-    _SPLITS.update(splits)
+def _hold_run(splits: dict, cfg: TrainConfig, taus: list[float]) -> None:
+    """Pool initializer, also called in-process when ``jobs`` is 1: keep the run's constants."""
+    _RUN.update(splits=splits, cfg=cfg, taus=taus)
 
 
-def _run_point(task, splits=None) -> RunRecord:
-    dataset_name, spec, cfg, taus, point = task
-    splits = dict(zip(("train", "valid", "test"), splits or _SPLITS[dataset_name]))
+def _run_point(task) -> RunRecord:
+    dataset_name, spec, point = task
+    cfg, taus = _RUN["cfg"], _RUN["taus"]
+    splits = dict(zip(("train", "valid", "test"), _RUN["splits"][dataset_name]))
     model = train(spec, splits["train"], cfg)
-    zeros = np.zeros(splits["train"].m)
     return RunRecord(
         method=method_id(spec),
         dataset=dataset_name,
@@ -128,36 +129,11 @@ def _run_point(task, splits=None) -> RunRecord:
         seed=cfg.seed,
         criteria={name: criteria_table(scores(model.w, d), d, taus) for name, d in splits.items()},
         f_final=objective(spec, model.w, splits["train"]),
-        f_zero=objective(spec, zeros, splits["train"]),
+        f_zero=objective(spec, np.zeros(splits["train"].m), splits["train"]),
         ms_per_iter=float(np.median(model.history.iter_ms)),
         w=model.w.tolist(),
         t_final=model.t_final,
     )
-
-
-def _grid_tasks(
-    name: str, d_train: Dataset, method: str, tau: float | None, grid: Grid, cfg: TrainConfig,
-    loss: SurrogateLoss, select: SelectCriterion, criteria_taus,
-) -> list[tuple]:
-    """One :func:`_run_point` task per grid point of ``method``, in grid order, each
-    carrying its spec, built once and checked against the training split ``d_train``."""
-    taus = list(criteria_taus) if criteria_taus is not None else []
-    if select.tau is not None and select.tau not in taus:
-        taus.append(select.tau)
-    tasks = []
-    try:
-        check_minibatches(d_train, cfg.n_minibatch)
-        for point in grid_points(method, grid):
-            swept = {key: value for key, value in point.items() if key != "lambda"}
-            rule = rule_from_token(method, tau=tau, **swept)
-            spec = ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"])
-            check_pool(rule, d_train, cfg.n_minibatch)
-            tasks.append((name, spec, cfg, taus, point))
-    except ValueError as exc:
-        part = f"smallest of {cfg.n_minibatch} minibatches" if cfg.n_minibatch > 1 else "whole"
-        where = f"dataset {name!r}, method {method}, training split ({part})"
-        raise ManifestError(f"{where}: {exc}") from None
-    return tasks
 
 
 def _cells(records: list[RunRecord]) -> dict[tuple[str, str], list[RunRecord]]:
@@ -169,18 +145,26 @@ def _cells(records: list[RunRecord]) -> dict[tuple[str, str], list[RunRecord]]:
 
 
 def grid_search(
-    tasks: list[tuple], splits: dict, jobs: int, select: SelectCriterion
+    tasks: list[tuple], splits: dict, cfg: TrainConfig, select: SelectCriterion,
+    criteria_taus: list[float], jobs: int,
 ) -> tuple[list[RunRecord], list[RunRecord]]:
-    """Train every task; return each cell's validation winner (ties go to its
-    earliest task) and every record in task order.  ``jobs`` > 1 runs one
-    ``pool.map`` on at most ``jobs`` workers, each given every split once."""
+    """Train every ``(dataset, spec, point)`` task, scored at ``criteria_taus`` and the
+    selection tau; return each cell's validation winner (ties go to its earliest task) and
+    every record in task order, from one ``pool.map`` on at most ``jobs`` workers if > 1."""
+    taus = list(criteria_taus)
+    if select.tau is not None and select.tau not in taus:
+        taus.append(select.tau)
     if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)), initializer=_hold_splits, initargs=(splits,)
+            max_workers=min(jobs, len(tasks)), initializer=_hold_run, initargs=(splits, cfg, taus)
         ) as pool:
             records = list(pool.map(_run_point, tasks))
     else:
-        records = [_run_point(task, splits[task[0]]) for task in tasks]
+        _hold_run(splits, cfg, taus)
+        try:
+            records = list(map(_run_point, tasks))
+        finally:
+            _RUN.clear()
     key = select.kind if select.kind == "positives_at_top" else f"{select.kind}@{select.tau:g}"
     cells = _cells(records).values()
     winners = [max(recs, key=lambda r: r.criteria["valid"][key]) for recs in cells]
@@ -294,10 +278,7 @@ def reproduce_worked_example(
     expected = {
         "toppush": {"w1": (0.0, 1.0), "w2": (2.0, 2.5)},
         "toppushk": {"w1": (0.0, 1.0), "w2": (2.0 / k, 0.5 + 2.0 / k)},
-        "grill": {
-            "w1": (0.0, 2.0),
-            "w2": (1.0 - 2.0 * tau, 1.5 - 2.0 * tau * (1.0 - tau)),
-        },
+        "grill": {"w1": (0.0, 2.0), "w2": (1.0 - 2.0 * tau, 1.5 - 2.0 * tau * (1.0 - tau))},
         "patmat": {"w1": (t0, 1.0 + t0), "w2": (t0, 0.5 + t0)},
         "topmean": {"w1": (0.0, 1.0), "w2": (1.0 - tau, 1.5 - tau)},
     }
@@ -306,16 +287,10 @@ def reproduce_worked_example(
         for point_name, w in (("w1", w1), ("w2", w2)):
             f_meas, _, tres = evaluate(spec, w, d)
             t_exp, f_exp = expected[token][point_name]
-            rows.append(
-                {
-                    "method": token,
-                    "point": point_name,
-                    "t": tres.t,
-                    "t_expected": t_exp,
-                    "f": f_meas,
-                    "f_expected": f_exp,
-                }
-            )
+            rows.append({
+                "method": token, "point": point_name, "t": tres.t, "t_expected": t_exp,
+                "f": f_meas, "f_expected": f_exp,
+            })
     return rows
 
 
@@ -411,11 +386,11 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
 
     The manifest lists datasets, method instances, grid overrides, the train
     configuration, split fractions and the selection criterion.  An unknown
-    or missing key or a bad value raises :class:`ManifestError` before any
-    data is loaded, and a split part that is empty or lacks a class or a grid
-    point some training split cannot support before any training.
-    Every grid point of every (dataset, method) pair is one task, all run by
-    one :func:`grid_search` call (on a pool when ``jobs`` > 1).
+    or missing key or a bad value, a grid point's included, raises
+    :class:`ManifestError` before any data is loaded, and a split part that is
+    empty or lacks a class or a grid point some training split cannot support
+    before any training.  Every grid point of every (dataset, method) pair is
+    one task, all run by one :func:`grid_search` call (on a pool when ``jobs`` > 1).
     Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
     and timing.csv.
     """
@@ -434,25 +409,40 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
             check_taus([tau])
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"invalid manifest value: {exc}") from None
+    # every (method, grid point) spec, built once and checked before any data loads
+    plan = []
+    for i, m in enumerate(manifest["methods"]):
+        try:
+            for point in grid_points(m["method"], grid):
+                swept = {key: value for key, value in point.items() if key != "lambda"}
+                rule = rule_from_token(m["method"], tau=m.get("tau"), **swept)
+                plan.append((ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"]), point))
+        except ValueError as exc:
+            raise ManifestError(f"methods[{i}]: {exc}") from None
+    within = f"smallest of {cfg.n_minibatch} minibatches" if cfg.n_minibatch > 1 else "whole"
     splits, tasks = {}, []
     for entry in manifest["datasets"]:
+        name = entry["name"]
         d = load_dataset(entry)
         try:
-            splits[entry["name"]] = parts = split(d, spec_split)
+            splits[name] = parts = split(d, spec_split)
             for part, p in zip(("train", "validation", "test"), parts):
                 for kind, count in (("positive", p.n_pos), ("negative", p.n_neg)):
                     if not count:
                         raise ValueError(f"the {part} part has no {kind} samples")
         except ValueError as exc:
-            raise ManifestError(f"dataset {entry['name']!r}: {exc}") from None
-        for m in manifest["methods"]:
-            tasks += _grid_tasks(
-                entry["name"], parts[0], m["method"], m.get("tau"), grid, cfg, loss, select,
-                criteria_taus,
-            )
+            raise ManifestError(f"dataset {name!r}: {exc}") from None
+        for spec, point in plan:
+            try:
+                check_minibatches(parts[0], cfg.n_minibatch)
+                check_pool(spec.rule, parts[0], cfg.n_minibatch)
+            except ValueError as exc:
+                where = f"dataset {name!r}, method {method_id(spec)}, training split ({within})"
+                raise ManifestError(f"{where}: {exc}") from None
+            tasks.append((name, spec, point))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    winners, all_records = grid_search(tasks, splits, jobs, select)
+    winners, all_records = grid_search(tasks, splits, cfg, select, criteria_taus, jobs)
 
     write_json(out / "run_records.json", [vars(r) for r in all_records])
     ranks = rank_table(winners, sorted(winners[0].criteria["test"]))

@@ -8,10 +8,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, minibatch_epoch
+from .data import Dataset, check_minibatches, minibatch_epoch
 from .objective import ObjectiveSpec, evaluate
 from .surrogate import make_loss
-from .threshold import QUANTILE_KINDS, ThresholdRule, scores, threshold_scored
+from .threshold import QUANTILE_KINDS, ThresholdRule, check_pool, scores, threshold_scored
 
 __all__ = [
     "AdamParams",
@@ -83,6 +83,8 @@ class TrainConfig:
             raise ValueError("iterations must be positive")
         if self.n_minibatch < 1:
             raise ValueError("n_minibatch must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.init not in ("zeros", "uniform"):
             raise ValueError(f"init must be 'zeros' or 'uniform', got {self.init!r}")
 
@@ -181,9 +183,12 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
     Each iteration takes the next minibatch of the epoch schedule (the whole
     dataset when ``n_minibatch`` is 1), evaluates the objective and gradient
     on it, updates the weights and optionally projects them onto the unit
-    ball.  Bitwise deterministic for fixed inputs and seed.
+    ball.  Bitwise deterministic for fixed inputs and seed.  A rule or minibatch
+    count that some minibatch of ``d_train`` cannot support raises before any step.
     """
     d_train.require_both_classes()
+    check_minibatches(d_train, cfg.n_minibatch)
+    check_pool(spec.rule, d_train, cfg.n_minibatch)
     rng = np.random.default_rng(cfg.seed)
     if cfg.init == "zeros":
         w = np.zeros(d_train.m)

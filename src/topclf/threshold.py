@@ -93,7 +93,7 @@ class ThresholdRule:
         for name, (valid, wanted) in _PARAM_CHECKS.items():
             value = getattr(self, name)
             if name in takes and (value is None or not valid(value)):
-                raise ValueError(f"{self.kind} requires {wanted}")
+                raise ValueError(f"{self.kind} requires {wanted}, got {value!r}")
             if name not in takes and value is not None:
                 raise ValueError(f"{self.kind} takes no {name} parameter")
 

@@ -12,7 +12,7 @@ from test_experiment import GRID_ARTIFACTS, grid_artifacts
 import topclf
 from topclf import experiment
 from topclf.cli import main
-from topclf.data import Dataset, load_csv, save_csv
+from topclf.data import Dataset, load_csv, save_csv, synth_example
 
 
 @pytest.fixture()
@@ -73,6 +73,13 @@ class TestSynth:
         assert "n must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "ex.csv").exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--n", 10, "--seed", -1, "--out", tmp_path / "ex.csv")
+        assert exc.value.code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "ex.csv").exists()
+
 
 class TestTrain:
     def test_writes_model_and_history(self, data_csv, tmp_path):
@@ -117,6 +124,7 @@ class TestTrain:
             (["--method", "toppush", "--iters", 0], "iterations must be positive"),
             (["--method", "toppush", "--minibatches", 0], "n_minibatch must be positive"),
             (["--method", "toppush", "--step-size", -1], "step_size must be non-negative"),
+            (["--method", "toppush", "--seed", -1], "seed must be non-negative, got -1"),
         ],
     )
     def test_bad_flag_value_is_usage_error_before_loading(self, tmp_path, capsys, flags, message):
@@ -133,6 +141,18 @@ class TestTrain:
             "--out", tmp_path / "o",
         )
         assert code == 1
+
+    def test_infeasible_minibatch_point_is_runtime_error_before_any_step(self, tmp_path, capsys):
+        # the smallest of 4 minibatches of the 31 negatives holds 7 of them
+        data = tmp_path / "synth.csv"
+        save_csv(synth_example(30, seed=1), data)
+        code = run(
+            "train", "--method", "toppushk", "--k", 8, "--minibatches", 4, "--iters", 1,
+            "--data", data, "--out", tmp_path / "o",
+        )
+        assert code == 1
+        assert "k=8 exceeds the 7 negative samples" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_one_class_data_is_runtime_error(self, tmp_path, capsys):
         data = tmp_path / "pos.svm"
@@ -371,6 +391,7 @@ class TestGrid:
             ("--iters", 0, "iterations must be positive"),
             ("--minibatches", 0, "n_minibatch must be positive"),
             ("--step-size", -1, "step_size must be non-negative"),
+            ("--seed", -1, "seed must be non-negative, got -1"),
         ],
     )
     def test_bad_train_flag_is_the_manifest_usage_error(
@@ -466,8 +487,15 @@ class TestGrid:
             (lambda m: m.update(loss="square"), "unknown surrogate loss 'square'"),
             (lambda m: m.update(datasets=[]), "manifest key 'datasets' must list at least one"),
             (lambda m: m.update(methods=[]), "manifest key 'methods' must list at least one"),
+            (
+                lambda m: m.update(methods=[{"method": "patmat", "tau": 2}]),
+                "methods[0]: surrogate_quantile requires tau in (0, 1), got 2",
+            ),
+            (lambda m: m.update(train={"seed": -1}), "seed must be non-negative, got -1"),
+            (lambda m: m.update(split={"seed": -1}), "seed must be non-negative, got -1"),
         ],
-        ids=["method", "train", "split", "loss", "no-datasets", "no-methods"],
+        ids=["method", "train", "split", "loss", "no-datasets", "no-methods", "method-tau",
+             "train-seed", "split-seed"],
     )
     def test_bad_manifest_value_is_usage_error(self, tmp_path, capsys, edit, message):
         manifest = {

@@ -207,6 +207,10 @@ class TestSplit:
         with pytest.raises(ValueError, match="sum to 1"):
             SplitSpec(0.5, 0.5, 0.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SplitSpec(seed=-1)
+
 
 class TestMinibatches:
     def balanced(self, n):
@@ -258,6 +262,10 @@ class TestMinibatches:
 
 
 class TestSynthExample:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            synth_example(10, seed=-1)
+
     def test_shape_and_outlier(self):
         d = synth_example(1000, seed=3)
         assert (d.n, d.n_pos, d.n_neg) == (2001, 1000, 1001)

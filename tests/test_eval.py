@@ -295,13 +295,14 @@ class TestScorePasses:
         parts = split(synth_example(40, seed=1), SplitSpec(seed=2))
         cfg = TrainConfig(iterations=3)
         spec = ObjectiveSpec(rule=rule_from_token("patmat", tau=0.2, beta=1.0), loss=HINGE)
-        task = ("synth", spec, cfg, [0.1, 0.3], {"beta": 1.0, "lambda": 0.0})
         # training and f(w) score the training split on their own; stub them to see the criteria
         model = train(spec, parts[0], cfg)
         monkeypatch.setattr(experiment, "train", lambda spec, d, cfg: model)
         monkeypatch.setattr(experiment, "objective", lambda spec, w, d: 0.0)
+        monkeypatch.setattr(experiment, "_RUN", {})
+        experiment._hold_run({"synth": parts}, cfg, [0.1, 0.3])
         calls = counting_scores(monkeypatch)
-        record = experiment._run_point(task, parts)
+        record = experiment._run_point(("synth", spec, {"beta": 1.0, "lambda": 0.0}))
         assert [id(d) for d in calls] == [id(d) for d in parts]
         assert set(record.criteria) == {"train", "valid", "test"}
 

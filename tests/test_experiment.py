@@ -8,6 +8,7 @@ import pytest
 
 from helpers import save_libsvm
 from topclf import experiment
+from topclf.cli import main
 from topclf.data import Dataset, SplitSpec, save_csv, synth_example
 from topclf.experiment import (
     FIXED_LAMBDA,
@@ -422,7 +423,7 @@ def pools(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(experiment, "_SPLITS", {})
+    monkeypatch.setattr(experiment, "_RUN", {})
     return started
 
 
@@ -457,7 +458,9 @@ class TestRunScheduling:
 
         monkeypatch.setattr(experiment, "rule_from_token", counted)
         result = run_manifest(uneven_manifest(), tmp_path, jobs=1)
-        assert len(calls) == len(result["records"]) == 2 * (6 + 2 + 3)
+        # one build per (method, grid point), shared by both datasets
+        assert len(calls) == 6 + 2 + 3
+        assert len(result["records"]) == 2 * (6 + 2 + 3)
 
     @pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (64, 22)])
     def test_one_map_on_at_most_one_worker_per_task(
@@ -797,13 +800,6 @@ class TestFeasibility:
             ([{"method": "toppushk"}], {"ks": [2, 3]}, 4,
              r"smallest of 4 minibatches\): k=3 exceeds the 2 negative"),
             ([{"method": "grill", "tau": 0.15}], {}, 4, "tau=0.15 over 5 samples"),
-            ([{"method": "patmat", "tau": 1.5}], {"betas": [1.0]}, 1, "method patmat.*tau in"),
-            ([{"method": "toppushk"}], {"ks": [0]}, 1, "positive integer k"),
-            ([{"method": "toppush"}, {"method": "toppushk"}], {"ks": []}, 1,
-             "empty hyperparameter grid for toppushk"),
-            # a negative lambda used to fail in training, after the output directory was made
-            ([{"method": "toppush"}], {"lambdas": [0.0, -1.0]}, 1,
-             r"\(whole\): lambda must be non-negative, got -1.0"),
         ],
     )
     def test_infeasible_point_rejected_before_training(
@@ -812,6 +808,35 @@ class TestFeasibility:
         manifest = self.manifest(methods, grid, n_minibatch)
         with pytest.raises(ManifestError, match=f"dataset 'tiny', .*{message}"):
             run_manifest(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "methods, grid, message",
+        [
+            ([{"method": "patmat", "tau": 1.5}], {"betas": [1.0]},
+             r"methods\[0\]: surrogate_quantile requires tau in \(0, 1\), got 1.5"),
+            ([{"method": "toppushk"}], {"ks": [0]},
+             r"methods\[0\]: top_push_k requires a positive integer k, got 0"),
+            ([{"method": "toppush"}, {"method": "toppushk"}], {"ks": []},
+             r"methods\[1\]: empty hyperparameter grid for toppushk"),
+            ([{"method": "toppush"}], {"lambdas": [0.0, -1.0]},
+             r"methods\[0\]: lambda must be non-negative, got -1.0"),
+        ],
+    )
+    def test_data_free_bad_value_rejected_before_loading(
+        self, tmp_path, monkeypatch, capsys, methods, grid, message
+    ):
+        # a loader that fails would exit 1, so exit 2 shows the check comes first
+        def unloadable(entry):
+            raise FileNotFoundError(f"no such file: {entry['name']}")
+
+        monkeypatch.setattr(experiment, "load_dataset", unloadable)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(self.manifest(methods, grid)))
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert re.search(f"error: {message}$", capsys.readouterr().err.strip())
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -112,6 +112,8 @@ class TestTrainConfig:
             TrainConfig(iterations=0)
         with pytest.raises(ValueError):
             TrainConfig(init="laplace")
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
         with pytest.raises(ValueError):
             AdamParams(beta1=1.0)
 
@@ -203,6 +205,16 @@ class TestTrain:
         message = "need at least one positive and one negative sample"
         with pytest.raises(ValueError, match=message):
             train(toppush_spec(), d, TrainConfig(iterations=3))
+
+    def test_infeasible_minibatch_point_rejected_before_any_step(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a training step was taken")
+
+        monkeypatch.setattr(solver, "evaluate", fail)
+        # the smallest of 4 minibatches of the 31 negatives holds 7 of them
+        spec = ObjectiveSpec(rule=rule_from_token("toppushk", k=8))
+        with pytest.raises(ValueError, match="k=8 exceeds the 7 negative samples"):
+            train(spec, synth_example(30, seed=1), TrainConfig(iterations=1, n_minibatch=4))
 
     def test_one_minibatch_epoch_call_per_epoch(self, monkeypatch):
         epochs = []
