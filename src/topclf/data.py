@@ -237,12 +237,12 @@ def _parse_rows(
     return np.array(values, dtype=np.float64), tokens
 
 
-def save_csv(d: Dataset, path, label_column: str = "label") -> None:
-    """Write ``d`` as CSV with columns x0..x{m-1} plus the label column.
+def save_csv(d: Dataset, path) -> None:
+    """Write ``d`` as CSV with columns x0..x{m-1} plus a ``label`` column.
 
     Reloading reproduces the floats bit-for-bit; labels are written as 1/0.
     """
-    columns = [f"x{j}" for j in range(d.m)] + [label_column]
+    columns = [f"x{j}" for j in range(d.m)] + ["label"]
     labels = ["1" if positive else "0" for positive in d.labels.tolist()]
     write_csv(path, columns, (row.tolist() + [label] for row, label in zip(d.features, labels)))
 
@@ -280,6 +280,10 @@ def load_dataset(entry: dict) -> Dataset:
     return load_libsvm(entry["path"])
 
 
+# the label tokens of a libsvm row, by whether they mark a positive
+_LIBSVM_LABELS = {"+1": True, "1": True, "-1": False, "0": False}
+
+
 def load_libsvm(path) -> Dataset:
     """Load a sparse ``label idx:val`` text file into a dense Dataset.
 
@@ -290,23 +294,17 @@ def load_libsvm(path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    rows: list[dict[int, float]] = []
-    labels: list[bool] = []
-    max_index = 0
+    # each entry's row, 0-based column and value, in file order, and each row's label
+    rows, cols, vals, labels = [], [], [], []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
-            label_tok = tokens[0]
-            if label_tok in ("+1", "1"):
-                labels.append(True)
-            elif label_tok in ("-1", "0"):
-                labels.append(False)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown label {label_tok!r}")
-            entries: dict[int, float] = {}
+            if tokens[0] not in _LIBSVM_LABELS:
+                raise ValueError(f"{path}:{lineno}: unknown label {tokens[0]!r}")
+            labels.append(_LIBSVM_LABELS[tokens[0]])
             prev = 0
             for tok in tokens[1:]:
                 try:
@@ -322,16 +320,14 @@ def load_libsvm(path) -> Dataset:
                     )
                 if not math.isfinite(val):
                     raise ValueError(f"{path}:{lineno}: non-finite value in {tok!r}")
-                entries[idx] = val
+                rows.append(len(labels) - 1)
+                cols.append(idx - 1)
+                vals.append(val)
                 prev = idx
-            max_index = max(max_index, prev)
-            rows.append(entries)
-    if not rows:
+    if not labels:
         raise ValueError(f"{path}: empty file")
-    features = np.zeros((len(rows), max_index), dtype=np.float64)
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            features[i, idx - 1] = val
+    features = np.zeros((len(labels), max(cols, default=-1) + 1), dtype=np.float64)
+    features[rows, cols] = vals
     dataset = Dataset(features, np.array(labels, dtype=bool))
     if dataset.n_pos == 0 or dataset.n_neg == 0:
         warnings.warn(f"{path}: all samples belong to one class", stacklevel=2)

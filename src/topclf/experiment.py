@@ -87,10 +87,7 @@ class RunRecord:
 
 def method_id(spec: ObjectiveSpec) -> str:
     """Readable method-instance label, one per (kind, tau) pair."""
-    return _label(RULES[spec.rule.kind][0], spec.rule.tau)
-
-
-def _label(token: str, tau: float | None) -> str:
+    token, tau = RULES[spec.rule.kind][0], spec.rule.tau
     return token if tau is None else f"{token}(tau={tau:g})"
 
 
@@ -179,7 +176,8 @@ def zero_audit(records: list[RunRecord]) -> list[dict]:
 
     A grid point counts as a success when f(w_final) < f(0) strictly.  The
     outcome column reads "all", "none", or a condition on the swept
-    hyperparameter such as "beta <= 0.1".
+    hyperparameter such as "beta <= 0.1": the first key of each record's
+    ``params``, where :func:`grid_points` puts it.
     """
     rows = []
     for (method, dataset), recs in sorted(_cells(records).items()):
@@ -196,14 +194,7 @@ def zero_audit(records: list[RunRecord]) -> list[dict]:
 
 
 def _describe_successes(recs: list[RunRecord], successes: list[RunRecord]) -> str:
-    swept = [
-        name
-        for name in ("beta", "k", "lambda")
-        if len({r.params.get(name) for r in recs}) > 1
-    ]
-    if not swept:
-        return "some"
-    name = swept[0]
+    name = next(iter(recs[0].params))
     good = sorted(r.params[name] for r in successes)
     all_vals = sorted(r.params[name] for r in recs)
     if len(good) == 1:
@@ -249,16 +240,12 @@ def timing_probe(
     return float(np.median(model.history.iter_ms[warmup:]))
 
 
-_WORKED_EXAMPLE_METHODS = ("toppush", "toppushk", "grill", "patmat", "topmean")
-
-
 def reproduce_worked_example(
     n: int = 100_000,
     tau: float = 0.05,
     beta: float = 0.01,
     k: int = 5,
     seed: int = 0,
-    methods=_WORKED_EXAMPLE_METHODS,
 ) -> list[dict]:
     """Thresholds and objectives of the two landmark weight vectors.
 
@@ -270,7 +257,10 @@ def reproduce_worked_example(
     if n < 1000:
         raise ValueError("n must be at least 1000 for the limits to be meaningful")
     # each rule checks its parameters before any data is made
-    specs = [ObjectiveSpec(rule=rule_from_token(t, k=k, tau=tau, beta=beta)) for t in methods]
+    specs = {
+        token: ObjectiveSpec(rule=rule_from_token(token, k=k, tau=tau, beta=beta))
+        for token in ("toppush", "toppushk", "grill", "patmat", "topmean")
+    }
     d = synth_example(n, seed)
     w1 = np.zeros(2)
     w2 = np.array([1.0, 0.0])
@@ -283,7 +273,7 @@ def reproduce_worked_example(
         "topmean": {"w1": (0.0, 1.0), "w2": (1.0 - tau, 1.5 - tau)},
     }
     rows = []
-    for token, spec in zip(methods, specs):
+    for token, spec in specs.items():
         for point_name, w in (("w1", w1), ("w2", w2)):
             f_meas, _, tres = evaluate(spec, w, d)
             t_exp, f_exp = expected[token][point_name]
@@ -363,7 +353,6 @@ def _check_manifest(manifest: dict) -> None:
         _check(entry, layout, f"datasets[{i}]", required)
         if entry["name"] in [prev["name"] for prev in manifest["datasets"][:i]]:
             raise ManifestError(f"datasets[{i}]: dataset name {entry['name']!r} is taken")
-    labels = []
     for i, entry in enumerate(manifest["methods"]):
         _check(entry.get("method", ""), str, f"methods[{i}].method")
         try:
@@ -375,10 +364,6 @@ def _check_manifest(manifest: dict) -> None:
         _check(entry, layout, f"methods[{i}]", ("method",))
         if "tau" in layout and "tau" not in entry:
             raise ManifestError(f"methods[{i}]: {entry['method']} requires tau")
-        label = _label(entry["method"], entry.get("tau"))
-        if label in labels:
-            raise ManifestError(f"methods[{i}]: method label {label!r} is taken")
-        labels.append(label)
 
 
 def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
@@ -410,7 +395,7 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"invalid manifest value: {exc}") from None
     # every (method, grid point) spec, built once and checked before any data loads
-    plan = []
+    plan, labels = [], []
     for i, m in enumerate(manifest["methods"]):
         try:
             for point in grid_points(m["method"], grid):
@@ -419,11 +404,18 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
                 plan.append((ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"]), point))
         except ValueError as exc:
             raise ManifestError(f"methods[{i}]: {exc}") from None
+        label = method_id(plan[-1][0])
+        if label in labels:
+            raise ManifestError(f"methods[{i}]: method label {label!r} is taken")
+        labels.append(label)
     within = f"smallest of {cfg.n_minibatch} minibatches" if cfg.n_minibatch > 1 else "whole"
     splits, tasks = {}, []
     for entry in manifest["datasets"]:
         name = entry["name"]
-        d = load_dataset(entry)
+        try:
+            d = load_dataset(entry)
+        except ValueError as exc:
+            raise ValueError(f"dataset {name!r}: {exc}") from None
         try:
             splits[name] = parts = split(d, spec_split)
             for part, p in zip(("train", "validation", "test"), parts):

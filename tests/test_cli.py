@@ -239,6 +239,28 @@ class TestEval:
         assert (out / "pr_curve.csv").exists()
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "curve"])
+    @pytest.mark.parametrize(
+        "positive, message",
+        [
+            (False, "criterion undefined without positive samples"),
+            (True, "positives_at_top undefined without negative samples"),
+        ],
+        ids=["all-negative", "all-positive"],
+    )
+    def test_one_class_file_is_runtime_error(
+        self, data_csv, tmp_path, capsys, command, positive, message
+    ):
+        model = self.fit(data_csv, tmp_path)
+        d = load_csv(data_csv, "label", "1")
+        one_class = tmp_path / "one_class.csv"
+        save_csv(d.subset(d.pos_idx if positive else d.neg_idx), one_class)
+        with pytest.warns(UserWarning, match="one class"):
+            code = run(command, "--model", model, "--data", one_class, "--out", tmp_path / "e")
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
 
 class TestLibsvm:
     def test_train_and_eval_match_the_csv_of_the_same_data(self, data_csv, tmp_path):
@@ -513,18 +535,29 @@ class TestGrid:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
 
-    def test_unloadable_dataset_is_runtime_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"path": "missing.csv", "label": "y", "pos": "1"}, "no such file: missing.csv"),
+            ({"format": "synth", "n": 20, "seed": -1},
+             "dataset 's': seed must be non-negative, got -1"),
+            ({"format": "synth", "n": 0}, "dataset 's': n must be >= 1, got 0"),
+        ],
+        ids=["missing-file", "synth-seed", "synth-n"],
+    )
+    def test_unloadable_dataset_is_runtime_error(
+        self, tmp_path, capsys, monkeypatch, entry, message
+    ):
+        monkeypatch.chdir(tmp_path)
         manifest = {
-            "datasets": [{"name": "gone", "path": str(tmp_path / "missing.csv"),
-                          "label": "y", "pos": "1"}],
+            "datasets": [{"name": "s", **entry}],
             "methods": [{"method": "toppush"}],
             "select": {"criterion": "positives_at_top"},
         }
-        mpath = tmp_path / "manifest.json"
-        mpath.write_text(json.dumps(manifest))
-        assert run("grid", "--manifest", mpath, "--out", tmp_path / "exp") == 1
-        assert "no such file" in capsys.readouterr().err
-        assert not (tmp_path / "exp").exists()
+        Path("manifest.json").write_text(json.dumps(manifest))
+        assert run("grid", "--manifest", "manifest.json", "--out", "exp") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("exp").exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--beta", "--lambda"])
     def test_swept_hyperparameters_are_not_flags(self, data_csv, tmp_path, flag):

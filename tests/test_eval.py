@@ -308,8 +308,8 @@ class TestScorePasses:
 
     def test_worked_example_scores_each_point_once(self, monkeypatch):
         calls = counting_scores(monkeypatch)
-        rows = experiment.reproduce_worked_example(n=1000, methods=("toppush", "patmat"))
-        assert len(rows) == 4
+        rows = experiment.reproduce_worked_example(n=1000)
+        assert len(rows) == 10
         assert len(calls) == len(rows)
 
     def test_report_matches_brute_force(self):

@@ -188,6 +188,20 @@ class TestZeroAudit:
         ]
         assert zero_audit(recs)[0]["outcome"] == "beta <= 0.1"
 
+    def test_beta_floor_condition(self):
+        recs = [
+            record("patmat", "d", {"beta": b, "lambda": FIXED_LAMBDA}, f, 1.0)
+            for b, f in [(0.001, 1.4), (0.01, 1.5), (0.1, 1.9), (1.0, 0.5), (10.0, 0.2)]
+        ]
+        assert zero_audit(recs)[0]["outcome"] == "beta >= 1"
+
+    def test_scattered_values_are_listed(self):
+        recs = [
+            record("toppushk", "d", {"k": k, "lambda": FIXED_LAMBDA}, f, 1.0)
+            for k, f in [(1, 0.5), (3, 1.5), (5, 1.2), (10, 0.8), (15, 2.0)]
+        ]
+        assert zero_audit(recs)[0]["outcome"] == "k in {1, 10}"
+
     def test_single_value_condition(self):
         recs = [
             record("patmat", "d", {"beta": b, "lambda": FIXED_LAMBDA}, f, 1.0)
@@ -320,10 +334,6 @@ class TestReproduceWorkedExample:
             tol = 4.0 / np.sqrt(4000)
             assert row["t"] == pytest.approx(row["t_expected"], abs=tol)
             assert row["f"] == pytest.approx(row["f_expected"], abs=tol)
-
-    def test_method_subset(self):
-        rows = reproduce_worked_example(n=1000, methods=("toppush",))
-        assert [r["method"] for r in rows] == ["toppush", "toppush"]
 
 
 class TestRunManifest:
