@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, load_dataset, save_csv, synth_example, write_csv, write_json
-from .evaluation import CRITERION_KINDS, build_report, check_taus, write_curve_csv
+from .evaluation import build_report, check_taus, write_curve_csv
 from .experiment import ManifestError, reproduce_worked_example, run_manifest
 from .objective import ObjectiveSpec
 from .solver import Model, TrainConfig, train
@@ -22,31 +22,11 @@ from .surrogate import make_loss
 from .threshold import CLI_TOKENS, method_params, rule_from_token
 
 
-def _add_data_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--data", required=required, help="dataset file")
+def _add_data_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--format", choices=("csv", "libsvm"), default="csv")
     p.add_argument("--label", default="label", help="CSV label column name")
     p.add_argument("--pos", default="1", help="CSV label value marking positives")
-
-
-def _add_method_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--method", required=required, choices=sorted(CLI_TOKENS))
-    p.add_argument("--tau", type=float)
-    p.add_argument("--loss", choices=("hinge", "quadratic_hinge"), default="hinge")
-
-
-def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--minibatches", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("zeros", "uniform"), default="zeros")
-    p.add_argument("--step-size", type=float, default=0.01)
-    p.add_argument(
-        "--project",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="l2-unit-ball projection after each step",
-    )
 
 
 def _dataset_entry(args) -> dict:
@@ -57,31 +37,21 @@ def _dataset_entry(args) -> dict:
     return entry
 
 
-def _build_spec(args, parser: argparse.ArgumentParser) -> ObjectiveSpec:
-    params = method_params(args.method)
-    missing = [f"--{name}" for name in params if getattr(args, name) is None]
+def cmd_train(args, parser) -> int:
+    missing = [f"--{name}" for name in method_params(args.method) if getattr(args, name) is None]
     if missing:
         parser.error(f"method {args.method} requires {', '.join(missing)}")
-    rule = rule_from_token(args.method, k=args.k, tau=args.tau, beta=args.beta)
-    return ObjectiveSpec(rule=rule, loss=make_loss(args.loss), lam=args.lam)
-
-
-def _train_config(args) -> dict:
-    """The train config document the train flags spell, unvalidated."""
-    return {
-        "iterations": args.iters,
-        "adam": {"step_size": args.step_size},
-        "n_minibatch": args.minibatches,
-        "seed": args.seed,
-        "project_unit_ball": {"auto": None, "on": True, "off": False}[args.project],
-        "init": args.init,
-    }
-
-
-def cmd_train(args, parser) -> int:
     try:
-        spec = _build_spec(args, parser)
-        cfg = TrainConfig(**_train_config(args))
+        rule = rule_from_token(args.method, k=args.k, tau=args.tau, beta=args.beta)
+        spec = ObjectiveSpec(rule=rule, loss=make_loss(args.loss), lam=args.lam)
+        cfg = TrainConfig(
+            iterations=args.iters,
+            adam={"step_size": args.step_size},
+            n_minibatch=args.minibatches,
+            seed=args.seed,
+            project_unit_ball={"auto": None, "on": True, "off": False}[args.project],
+            init=args.init,
+        )
     except ValueError as exc:
         parser.error(str(exc))
     model = train(spec, load_dataset(_dataset_entry(args)), cfg)
@@ -162,34 +132,11 @@ def cmd_reproduce(args, parser) -> int:
     return 0
 
 
-def _flag_manifest(args) -> dict:
-    """The one-entry manifest of flag-mode ``grid``; like ``train`` it drops an unused --tau."""
-    method = {"method": args.method}
-    if args.tau is not None and "tau" in method_params(args.method):
-        method["tau"] = args.tau
-    swept = {name: getattr(args, name) for name in ("betas", "lambdas", "ks")}
-    return {
-        "datasets": [{"name": "data", **_dataset_entry(args)}],
-        "methods": [method],
-        "grid": {name: values for name, values in swept.items() if values},
-        "train": _train_config(args),
-        "split": {"seed": args.seed},
-        "select": {"criterion": args.criterion, "tau": args.criterion_tau},
-        "criteria_taus": [],
-        "loss": args.loss,
-    }
-
-
 def cmd_grid(args, parser) -> int:
-    if args.manifest:
-        try:
-            manifest = json.loads(Path(args.manifest).read_text())
-        except json.JSONDecodeError as exc:
-            parser.error(f"manifest {args.manifest} is not valid JSON: {exc}")
-    elif args.method and args.data:
-        manifest = _flag_manifest(args)
-    else:
-        parser.error("grid needs either --manifest or both --method and --data")
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except json.JSONDecodeError as exc:
+        parser.error(f"manifest {args.manifest} is not valid JSON: {exc}")
     try:
         run_manifest(manifest, args.out, jobs=args.jobs)
     except ManifestError as exc:
@@ -204,12 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit a linear model")
-    _add_method_args(p)
+    p.add_argument("--method", required=True, choices=sorted(CLI_TOKENS))
+    p.add_argument("--tau", type=float)
+    p.add_argument("--loss", choices=("hinge", "quadratic_hinge"), default="hinge")
     p.add_argument("--beta", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     _add_data_args(p)
-    _add_train_args(p)
+    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--minibatches", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--init", choices=("zeros", "uniform"), default="zeros")
+    p.add_argument("--step-size", type=float, default=0.01)
+    p.add_argument(
+        "--project",
+        choices=("auto", "on", "off"),
+        default="auto",
+        help="l2-unit-ball projection after each step",
+    )
     p.add_argument("--out", required=True, help="output directory")
 
     for name, help_text in (
@@ -237,18 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional output CSV path")
 
-    # no abbreviations: --k, --beta and --lambda would silently mean --ks,
-    # --betas and --lambdas
-    p = sub.add_parser("grid", help="hyperparameter grid search", allow_abbrev=False)
-    p.add_argument("--manifest", help="experiment manifest JSON")
-    _add_method_args(p, required=False)
-    _add_data_args(p, required=False)
-    _add_train_args(p)
-    p.add_argument("--betas", type=float, nargs="*")
-    p.add_argument("--lambdas", type=float, nargs="*")
-    p.add_argument("--ks", type=int, nargs="*")
-    p.add_argument("--criterion", choices=CRITERION_KINDS, default="positives_at_top")
-    p.add_argument("--criterion-tau", type=float)
+    p = sub.add_parser("grid", help="hyperparameter grid search")
+    p.add_argument("--manifest", required=True, help="experiment manifest JSON")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     return parser

@@ -43,7 +43,6 @@ __all__ = [
     "grid_search",
     "zero_audit",
     "rank_table",
-    "timing_probe",
     "reproduce_worked_example",
     "run_manifest",
 ]
@@ -229,17 +228,6 @@ def rank_table(winners: list[RunRecord], criteria: list[str]) -> dict[str, dict[
     return table
 
 
-def timing_probe(
-    spec: ObjectiveSpec, d: Dataset, cfg: TrainConfig, warmup: int = 5, timed: int = 21
-) -> float:
-    """Median wall-clock milliseconds per training iteration after warmup."""
-    if warmup < 1:
-        raise ValueError("warmup must be >= 1")
-    probe_cfg = dataclasses.replace(cfg, iterations=warmup + timed)
-    model = train(spec, d, probe_cfg)
-    return float(np.median(model.history.iter_ms[warmup:]))
-
-
 def reproduce_worked_example(
     n: int = 100_000,
     tau: float = 0.05,
@@ -256,11 +244,13 @@ def reproduce_worked_example(
     """
     if n < 1000:
         raise ValueError("n must be at least 1000 for the limits to be meaningful")
-    # each rule checks its parameters before any data is made
-    specs = {
-        token: ObjectiveSpec(rule=rule_from_token(token, k=k, tau=tau, beta=beta))
-        for token in ("toppush", "toppushk", "grill", "patmat", "topmean")
-    }
+    # each rule checks its parameters, and its score pool in a stand-in with the
+    # planted set's 2n + 1 rows (n + 1 negative), before any data is made
+    stand_in = Dataset(np.zeros((2 * n + 1, 0)), np.arange(2 * n + 1) < n)
+    specs = {}
+    for token in ("toppush", "toppushk", "grill", "patmat", "topmean"):
+        specs[token] = ObjectiveSpec(rule=rule_from_token(token, k=k, tau=tau, beta=beta))
+        check_pool(specs[token].rule, stand_in)
     d = synth_example(n, seed)
     w1 = np.zeros(2)
     w2 = np.array([1.0, 0.0])

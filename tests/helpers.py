@@ -1,12 +1,13 @@
 """Shared generators and oracles for the test suite."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 
 from topclf.data import Dataset
-from topclf.solver import AdamState
+from topclf.solver import AdamState, train
 from topclf.threshold import (
     NEGATIVE_KINDS,
     QUANTILE_KINDS,
@@ -216,3 +217,12 @@ def oracle_adam_step(state, grad, params):
     v_hat = v / (1.0 - params.beta2**step)
     delta = -params.step_size * m_hat / (np.sqrt(v_hat) + params.epsilon)
     return AdamState(m=m, v=v, step=step), delta
+
+
+def timing_probe(spec, d, cfg, warmup=5, timed=21):
+    """Median wall-clock milliseconds per training iteration after warmup."""
+    if warmup < 1:
+        raise ValueError("warmup must be >= 1")
+    probe_cfg = dataclasses.replace(cfg, iterations=warmup + timed)
+    model = train(spec, d, probe_cfg)
+    return float(np.median(model.history.iter_ms[warmup:]))

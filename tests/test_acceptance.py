@@ -17,10 +17,11 @@ from helpers import (
     objective_pattern,
     random_dataset,
     tied_integer_dataset,
+    timing_probe,
 )
 from topclf.data import Dataset, synth_example
 from topclf.evaluation import counts, criterion, pr_curve, precision_recall
-from topclf.experiment import reproduce_worked_example, timing_probe
+from topclf.experiment import reproduce_worked_example
 from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.solver import TrainConfig, train
 from topclf.surrogate import HINGE, QUADRATIC_HINGE

@@ -326,6 +326,8 @@ class TestReproduce:
             (["--tau", 2], "requires tau in (0, 1)"),
             (["--beta", 0], "requires beta > 0"),
             (["--k", 0], "requires a positive integer k"),
+            (["--n", 1000, "--k", 1003], "k=1003 exceeds the 1001 negative samples"),
+            (["--n", 1000, "--tau", 0.0001], "tau=0.0001 over 2001 samples"),
         ],
     )
     def test_bad_flag_value_is_usage_error_before_any_data(
@@ -345,40 +347,20 @@ class TestReproduce:
 
 class TestGrid:
     def test_single_point_grid(self, data_csv, tmp_path):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "data", "path": str(data_csv), "label": "label", "pos": "1"}],
+            "methods": [{"method": "toppush"}],
+            "grid": {"lambdas": [0.001]},
+            "train": {"iterations": 15},
+            "select": {"criterion": "positives_at_top"},
+        }))
         out = tmp_path / "grid"
-        code = run(
-            "grid", "--method", "toppush", "--data", data_csv,
-            "--lambdas", 0.001, "--iters", 15, "--out", out,
-        )
-        assert code == 0
+        assert run("grid", "--manifest", mpath, "--out", out) == 0
         records = json.loads((out / "run_records.json").read_text())
         assert len(records) == 1
         assert records[0]["params"] == {"lambda": 0.001}
         assert sorted(p.name for p in out.iterdir()) == sorted(GRID_ARTIFACTS)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_flag_mode_is_a_one_entry_manifest(self, data_csv, tmp_path, jobs):
-        code = run(
-            "grid", "--method", "patmat", "--tau", 0.1, "--betas", 0.1, 1, "--data", data_csv,
-            "--iters", 15, "--seed", 3, "--step-size", 0.05, "--criterion", "positives_at_np",
-            "--criterion-tau", 0.2, "--jobs", jobs, "--out", tmp_path / "flags",
-        )
-        assert code == 0
-        manifest = {
-            "datasets": [
-                {"name": "data", "format": "csv", "path": str(data_csv), "label": "label", "pos": "1"}
-            ],
-            "methods": [{"method": "patmat", "tau": 0.1}],
-            "grid": {"betas": [0.1, 1.0]},
-            "train": {"iterations": 15, "seed": 3, "adam": {"step_size": 0.05}},
-            "split": {"seed": 3},
-            "select": {"criterion": "positives_at_np", "tau": 0.2},
-            "criteria_taus": [],
-        }
-        mpath = tmp_path / "manifest.json"
-        mpath.write_text(json.dumps(manifest))
-        assert run("grid", "--manifest", mpath, "--out", tmp_path / "manifest") == 0
-        assert grid_artifacts(tmp_path / "flags") == grid_artifacts(tmp_path / "manifest")
 
     def test_invalid_manifest_json_is_usage_error(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.json"
@@ -392,40 +374,17 @@ class TestGrid:
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])
-    @pytest.mark.parametrize("mode", ["flags", "manifest"])
-    def test_jobs_below_one_is_usage_error(self, data_csv, tmp_path, capsys, jobs, mode):
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps({
             "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
             "methods": [{"method": "toppush"}],
             "select": {"criterion": "positives_at_top"},
         }))
-        source = ["--manifest", mpath] if mode == "manifest" else ["--method", "toppush", "--data", data_csv]
         with pytest.raises(SystemExit) as exc:
-            run("grid", *source, "--jobs", jobs, "--out", tmp_path / "g")
+            run("grid", "--manifest", mpath, "--jobs", jobs, "--out", tmp_path / "g")
         assert exc.value.code == 2
         assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--iters", 0, "iterations must be positive"),
-            ("--minibatches", 0, "n_minibatch must be positive"),
-            ("--step-size", -1, "step_size must be non-negative"),
-            ("--seed", -1, "seed must be non-negative, got -1"),
-        ],
-    )
-    def test_bad_train_flag_is_the_manifest_usage_error(
-        self, tmp_path, capsys, flag, value, message
-    ):
-        with pytest.raises(SystemExit) as exc:
-            run(
-                "grid", "--method", "toppush", "--data", tmp_path / "missing.csv",
-                flag, value, "--out", tmp_path / "g",
-            )
-        assert exc.value.code == 2
-        assert f"invalid manifest value: {message}" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
     def test_manifest_mode(self, tmp_path):
@@ -559,40 +518,6 @@ class TestGrid:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("exp").exists()
 
-    @pytest.mark.parametrize("flag", ["--k", "--beta", "--lambda"])
-    def test_swept_hyperparameters_are_not_flags(self, data_csv, tmp_path, flag):
-        with pytest.raises(SystemExit) as exc:
-            run("grid", "--method", "toppushk", "--data", data_csv, flag, 1, "--out", tmp_path)
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "select",
-        [
-            ["--criterion", "positives_at_tpo"],
-            ["--criterion", "positives_at_np"],
-            ["--criterion", "positives_at_np", "--criterion-tau", 1.5],
-            ["--criterion", "positives_at_top", "--criterion-tau", 0],
-        ],
-    )
-    def test_bad_criterion_is_usage_error_before_loading(self, tmp_path, select):
-        with pytest.raises(SystemExit) as exc:
-            run(
-                "grid", "--method", "toppush", "--data", tmp_path / "missing.csv",
-                *select, "--out", tmp_path / "g",
-            )
-        assert exc.value.code == 2
-
-    def test_tau_on_positives_at_top_is_usage_error(self, data_csv, tmp_path, capsys):
-        # a tau there used to add positives_at_*@tau columns to rank_table.csv
-        with pytest.raises(SystemExit) as exc:
-            run(
-                "grid", "--method", "toppush", "--data", data_csv, "--criterion",
-                "positives_at_top", "--criterion-tau", 0.5, "--out", tmp_path / "g",
-            )
-        assert exc.value.code == 2
-        assert "select.tau" in capsys.readouterr().err
-        assert not (tmp_path / "g").exists()
-
     def test_bad_manifest_criterion_is_usage_error(self, tmp_path, capsys):
         manifest = {
             "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
@@ -607,7 +532,32 @@ class TestGrid:
         assert "positives_at_tpo" in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
 
-    def test_needs_method_or_manifest(self, tmp_path):
+    def test_needs_manifest(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run("grid", "--out", tmp_path)
+            run("grid", "--out", tmp_path / "g")
         assert exc.value.code == 2
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--iters", 5],
+            ["--betas", 0.1],
+            ["--criterion", "positives_at_np"],
+            ["--method", "toppush", "--data", "x.csv"],
+        ],
+        ids=["iters", "betas", "criterion", "method-data"],
+    )
+    def test_grid_rejects_flag_mode_flags(self, tmp_path, flags):
+        # each flag names a manifest key; accepted beside --manifest it would be ignored
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
+            "methods": [{"method": "toppush"}],
+            "train": {"iterations": 5},
+            "select": {"criterion": "positives_at_top"},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, *flags, "--out", tmp_path / "g")
+        assert exc.value.code == 2
+        assert not (tmp_path / "g").exists()

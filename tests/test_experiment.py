@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import save_libsvm
+from helpers import save_libsvm, timing_probe
 from topclf import experiment
 from topclf.cli import main
 from topclf.data import Dataset, SplitSpec, save_csv, synth_example
@@ -22,7 +22,6 @@ from topclf.experiment import (
     rank_table,
     reproduce_worked_example,
     run_manifest,
-    timing_probe,
     zero_audit,
 )
 from topclf.objective import ObjectiveSpec
