@@ -387,6 +387,45 @@ class TestGrid:
         assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--iters", 0, "iterations must be positive"),
+            ("--minibatches", 0, "n_minibatch must be positive"),
+            ("--step-size", -1, "step_size must be non-negative"),
+            ("--seed", -1, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_train_flag_is_the_manifest_usage_error(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # the `train` flag and its manifest `train` key go through one check
+        key = {
+            "--iters": {"iterations": value},
+            "--minibatches": {"n_minibatch": value},
+            "--step-size": {"adam": {"step_size": value}},
+            "--seed": {"seed": value},
+        }[flag]
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--method", "toppush", "--data", missing, flag, value,
+                "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "gone", "path": str(missing), "label": "y", "pos": "1"}],
+            "methods": [{"method": "toppush"}],
+            "train": key,
+            "select": {"criterion": "positives_at_top"},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "g")
+        assert exc.value.code == 2
+        assert f"invalid manifest value: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "g").exists()
+
     def test_manifest_mode(self, tmp_path):
         manifest = {
             "datasets": [{"name": "synth", "format": "synth", "n": 120, "seed": 1}],
@@ -531,6 +570,59 @@ class TestGrid:
         assert exc.value.code == 2
         assert "positives_at_tpo" in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            {"criterion": "positives_at_tpo"},
+            {"criterion": "positives_at_np"},
+            {"criterion": "positives_at_np", "tau": 1.5},
+            {"criterion": "positives_at_top", "tau": 0},
+        ],
+    )
+    def test_bad_criterion_is_usage_error_before_loading(self, tmp_path, select):
+        # a missing data file would exit 1, so exit 2 shows the check comes first
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "gone", "path": str(tmp_path / "missing.csv"),
+                          "label": "y", "pos": "1"}],
+            "methods": [{"method": "toppush"}],
+            "select": select,
+        }))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "g")
+        assert exc.value.code == 2
+        assert not (tmp_path / "g").exists()
+
+    def test_tau_on_positives_at_top_is_usage_error(self, data_csv, tmp_path, capsys):
+        # a tau there used to add positives_at_*@tau columns to rank_table.csv
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "data", "path": str(data_csv), "label": "label", "pos": "1"}],
+            "methods": [{"method": "toppush"}],
+            "select": {"criterion": "positives_at_top", "tau": 0.5},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, "--out", tmp_path / "g")
+        assert exc.value.code == 2
+        assert "select.tau" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flag", ["--k", "--beta", "--lambda"])
+    def test_swept_hyperparameters_are_not_flags(self, tmp_path, flag):
+        # grid values come from the manifest's `grid`; a valid manifest shows the flag is the fault
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "synth", "format": "synth", "n": 40, "seed": 1}],
+            "methods": [{"method": "toppushk"}],
+            "grid": {"ks": [1]},
+            "train": {"iterations": 5},
+            "select": {"criterion": "positives_at_top"},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--manifest", mpath, flag, 1, "--out", tmp_path / "g")
+        assert exc.value.code == 2
+        assert not (tmp_path / "g").exists()
 
     def test_needs_manifest(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
