@@ -7,7 +7,8 @@ The hyperparameter grid defaults to
     k      in {1, 3, 5, 10, 15, 20}
 
 with lambda pinned to 1e-3 for the methods that already sweep k or beta, so
-every method searches six points.  Selection maximizes a fraction-of-
+every method searches six points.  The points of one (dataset, method) cell
+train in lockstep, one task per cell.  Selection maximizes a fraction-of-
 positives criterion on the validation split; test-split values are what the
 rank tables aggregate.
 """
@@ -70,7 +71,11 @@ class SelectCriterion:
 
 @dataclass
 class RunRecord:
-    """One grid point's row of run_records.json, in its key order."""
+    """One grid point's row of run_records.json, in its key order.
+
+    ``ms_per_iter`` is the median of the point's share of each lockstep
+    iteration of its cell: the iteration's wall time over the cell's points.
+    """
 
     method: str
     dataset: str
@@ -113,23 +118,47 @@ def _hold_run(splits: dict, cfg: TrainConfig, taus: list[float]) -> None:
     _RUN.update(splits=splits, cfg=cfg, taus=taus)
 
 
-def _run_point(task) -> RunRecord:
-    dataset_name, spec, point = task
+def _run_cell(task) -> list[RunRecord]:
+    """Train one (dataset, method) cell's grid points in lockstep; their records in grid order."""
+    dataset_name, specs, points = task
     cfg, taus = _RUN["cfg"], _RUN["taus"]
     splits = dict(zip(("train", "valid", "test"), _RUN["splits"][dataset_name]))
-    model = train(spec, splits["train"], cfg)
-    return RunRecord(
-        method=method_id(spec),
-        dataset=dataset_name,
-        params=point,
-        seed=cfg.seed,
-        criteria={name: criteria_table(scores(model.w, d), d, taus) for name, d in splits.items()},
-        f_final=objective(spec, model.w, splits["train"]),
-        f_zero=objective(spec, np.zeros(splits["train"].m), splits["train"]),
-        ms_per_iter=float(np.median(model.history.iter_ms)),
-        w=model.w.tolist(),
-        t_final=model.t_final,
-    )
+    d = splits["train"]
+    try:
+        models = train(specs, d, cfg)
+    except (ValueError, FloatingPointError):
+        # a lockstep error does not say which row raised it; each point run
+        # on its own gives the same bits, so the first that fails names itself
+        for spec, point in zip(specs, points):
+            try:
+                train(spec, d, cfg)
+            except (ValueError, FloatingPointError) as exc:
+                where = ", ".join(f"{key}={value:g}" for key, value in point.items())
+                raise type(exc)(
+                    f"dataset {dataset_name!r}, method {method_id(spec)}, grid point {where}: {exc}"
+                ) from None
+        raise
+    w = np.array([model.w for model in models])
+    # one score pass per split scores every point of the cell
+    split_scores = {name: scores(w, part) for name, part in splits.items()}
+    f_final, f_zero = objective(specs, w, d), objective(specs, np.zeros(w.shape), d)
+    return [
+        RunRecord(
+            method=method_id(spec),
+            dataset=dataset_name,
+            params=point,
+            seed=cfg.seed,
+            criteria={
+                name: criteria_table(z[g], splits[name], taus) for name, z in split_scores.items()
+            },
+            f_final=float(f_final[g]),
+            f_zero=float(f_zero[g]),
+            ms_per_iter=float(np.median(model.history.iter_ms)),
+            w=model.w.tolist(),
+            t_final=model.t_final,
+        )
+        for g, (spec, point, model) in enumerate(zip(specs, points, models))
+    ]
 
 
 def _cells(records: list[RunRecord]) -> dict[tuple[str, str], list[RunRecord]]:
@@ -144,8 +173,8 @@ def grid_search(
     tasks: list[tuple], splits: dict, cfg: TrainConfig, select: SelectCriterion,
     criteria_taus: list[float], jobs: int,
 ) -> tuple[list[RunRecord], list[RunRecord]]:
-    """Train every ``(dataset, spec, point)`` task, scored at ``criteria_taus`` and the
-    selection tau; return each cell's validation winner (ties go to its earliest task) and
+    """Train every ``(dataset, specs, points)`` cell in lockstep, scored at ``criteria_taus`` and
+    the selection tau; return each cell's validation winner (ties go to its earliest point) and
     every record in task order, from one ``pool.map`` on at most ``jobs`` workers if > 1."""
     taus = list(criteria_taus)
     if select.tau is not None and select.tau not in taus:
@@ -154,17 +183,16 @@ def grid_search(
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)), initializer=_hold_run, initargs=(splits, cfg, taus)
         ) as pool:
-            records = list(pool.map(_run_point, tasks))
+            cells = list(pool.map(_run_cell, tasks))
     else:
         _hold_run(splits, cfg, taus)
         try:
-            records = list(map(_run_point, tasks))
+            cells = list(map(_run_cell, tasks))
         finally:
             _RUN.clear()
     key = select.kind if select.kind == "positives_at_top" else f"{select.kind}@{select.tau:g}"
-    cells = _cells(records).values()
     winners = [max(recs, key=lambda r: r.criteria["valid"][key]) for recs in cells]
-    return winners, records
+    return winners, [rec for recs in cells for rec in recs]
 
 
 _AUDIT_COLUMNS = ("method", "dataset", "outcome", "n_success", "n_points")
@@ -364,8 +392,9 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
     or missing key or a bad value, a grid point's included, raises
     :class:`ManifestError` before any data is loaded, and a split part that is
     empty or lacks a class or a grid point some training split cannot support
-    before any training.  Every grid point of every (dataset, method) pair is
-    one task, all run by one :func:`grid_search` call (on a pool when ``jobs`` > 1).
+    before any training.  Every (dataset, method) cell, its grid points trained
+    in lockstep, is one task, all run by one :func:`grid_search` call (on a
+    pool of at most ``min(jobs, cells)`` workers when ``jobs`` > 1).
     Outputs in ``out_dir``: run_records.json, rank_table.csv, zero_audit.csv
     and timing.csv.
     """
@@ -384,20 +413,23 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
             check_taus([tau])
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"invalid manifest value: {exc}") from None
-    # every (method, grid point) spec, built once and checked before any data loads
+    # each method's grid points and their specs, built once and checked before any data loads
     plan, labels = [], []
     for i, m in enumerate(manifest["methods"]):
         try:
-            for point in grid_points(m["method"], grid):
+            points = grid_points(m["method"], grid)
+            specs = []
+            for point in points:
                 swept = {key: value for key, value in point.items() if key != "lambda"}
                 rule = rule_from_token(m["method"], tau=m.get("tau"), **swept)
-                plan.append((ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"]), point))
+                specs.append(ObjectiveSpec(rule=rule, loss=loss, lam=point["lambda"]))
         except ValueError as exc:
             raise ManifestError(f"methods[{i}]: {exc}") from None
-        label = method_id(plan[-1][0])
+        label = method_id(specs[0])
         if label in labels:
             raise ManifestError(f"methods[{i}]: method label {label!r} is taken")
         labels.append(label)
+        plan.append((specs, points))
     within = f"smallest of {cfg.n_minibatch} minibatches" if cfg.n_minibatch > 1 else "whole"
     splits, tasks = {}, []
     for entry in manifest["datasets"]:
@@ -414,14 +446,15 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
                         raise ValueError(f"the {part} part has no {kind} samples")
         except ValueError as exc:
             raise ManifestError(f"dataset {name!r}: {exc}") from None
-        for spec, point in plan:
-            try:
-                check_minibatches(parts[0], cfg.n_minibatch)
-                check_pool(spec.rule, parts[0], cfg.n_minibatch)
-            except ValueError as exc:
-                where = f"dataset {name!r}, method {method_id(spec)}, training split ({within})"
-                raise ManifestError(f"{where}: {exc}") from None
-            tasks.append((name, spec, point))
+        for specs, points in plan:
+            for spec in specs:
+                try:
+                    check_minibatches(parts[0], cfg.n_minibatch)
+                    check_pool(spec.rule, parts[0], cfg.n_minibatch)
+                except ValueError as exc:
+                    where = f"dataset {name!r}, method {method_id(spec)}, training split ({within})"
+                    raise ManifestError(f"{where}: {exc}") from None
+            tasks.append((name, specs, points))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     winners, all_records = grid_search(tasks, splits, cfg, select, criteria_taus, jobs)

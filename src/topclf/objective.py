@@ -22,6 +22,7 @@ s * a_i, where s is the net sum of those derivatives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,43 +59,70 @@ class ObjectiveSpec:
 
 
 def evaluate(
-    spec: ObjectiveSpec, w: np.ndarray, d: Dataset
-) -> tuple[float, np.ndarray, ThresholdResult]:
-    """Objective value and gradient in one pass, sharing the score buffer."""
-    d.require_both_classes()
-    w = np.asarray(w, dtype=np.float64)
-    z = scores(w, d)
-    tres = threshold_scored(spec.rule, z, d, spec.loss)
-    up = tres.t - z[d.pos_idx]
+    spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray, d: Dataset
+) -> tuple[float | np.ndarray, np.ndarray, ThresholdResult]:
+    """Objective value and gradient in one pass, sharing the score buffer.
 
-    lup, dup = spec.loss.value_and_deriv(up)
+    A sequence of G specs of one rule kind and loss takes a (G, m) stack of
+    weights, one spec per row, and gives G values, the (G, m) gradients and
+    the stack's threshold result; each row has the bits of its own 1-D call.
+    """
+    d.require_both_classes()
+    single = isinstance(spec, ObjectiveSpec)
+    specs = [spec] if single else list(spec)
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape[:-1] != (() if single else (len(specs),)):
+        raise ValueError(f"weight shape {w.shape} does not match {len(specs)} specs")
+    loss = specs[0].loss
+    if any(sg.loss.kind != loss.kind for sg in specs):
+        raise ValueError("a weight stack takes specs of one loss")
+    # every step below acts on each C-ordered row as the 1-D code would
+    W = w.reshape(len(specs), -1)
+    Z = scores(W, d)
+    tres = threshold_scored([sg.rule for sg in specs], Z, d, loss)
+    t = tres.t[:, None]
+    up = t - Z.take(d.pos_idx, axis=1)
+
+    lup, dup = loss.value_and_deriv(up)
     # sum / n has the same bits as mean() and skips its overhead
-    value = float(lup.sum() / d.n_pos)
+    value = lup.sum(axis=1) / d.n_pos
     # free each loss-value array once summed, before the gradient buffers
     del lup
-    # per-sample coefficients c of the gradient c @ X
-    c = np.zeros(d.n)
-    c[d.pos_idx] = dup / -d.n_pos
-    s = dup.sum() / d.n_pos
+    # per-sample coefficients c of the gradient c @ X, filled row by row: a
+    # 1-D index assignment is the fastest for one row and for many
+    c = np.zeros(Z.shape)
+    for cg, pos in zip(c, dup / -d.n_pos):
+        cg[d.pos_idx] = pos
+    s = dup.sum(axis=1) / d.n_pos
 
-    if spec.include_fp:
-        un = z[d.neg_idx] - tres.t
-        lun, dun = spec.loss.value_and_deriv(un)
-        value += float(lun.sum() / d.n_neg)
+    if specs[0].include_fp:
+        un = Z.take(d.neg_idx, axis=1) - t
+        lun, dun = loss.value_and_deriv(un)
+        value += lun.sum(axis=1) / d.n_neg
         del lun
-        c[d.neg_idx] = dun / d.n_neg
-        s -= dun.sum() / d.n_neg
+        for cg, neg in zip(c, dun / d.n_neg):
+            cg[d.neg_idx] = neg
+        s -= dun.sum(axis=1) / d.n_neg
 
-    # support indices are distinct, so the scatter-add is exact
-    c[tres.support] += s * tres.weights
-    grad = c @ d.features
-    if spec.lam:
-        value += 0.5 * spec.lam * float(w @ w)
-        grad = grad + spec.lam * w
+    # support indices are distinct, so the scatter-add is exact; a single row
+    # needs no lookup of the row each index lies in
+    scale = s if len(specs) == 1 else s[tres.support // d.n]
+    c.reshape(-1)[tres.support] += scale * tres.weights
+    grad = np.empty(W.shape)
+    for g, (sg, wg, cg, row) in enumerate(zip(specs, W, c, grad)):
+        np.matmul(cg, d.features, out=row)
+        if sg.lam:
+            value[g] += 0.5 * sg.lam * float(wg @ wg)
+            row += sg.lam * wg
+    if single:
+        tres = ThresholdResult(float(tres.t[0]), tres.support, tres.weights)
+        return float(value[0]), grad[0], tres
     return value, grad, tres
 
 
-def objective(spec: ObjectiveSpec, w: np.ndarray, d: Dataset) -> float:
-    """f(w) on dataset ``d`` (full data or a minibatch)."""
+def objective(
+    spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray, d: Dataset
+) -> float | np.ndarray:
+    """f(w) on dataset ``d`` (full data or a minibatch); a stack as in :func:`evaluate`."""
     value, _, _ = evaluate(spec, w, d)
     return value

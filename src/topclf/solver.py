@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -54,8 +54,9 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def fresh(cls, dim: int) -> "AdamState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), step=0)
+    def fresh(cls, shape: int | tuple[int, int]) -> "AdamState":
+        """Zero moments for one weight vector of length ``shape`` or a (G, m) stack."""
+        return cls(m=np.zeros(shape), v=np.zeros(shape), step=0)
 
 
 @dataclass(frozen=True)
@@ -170,14 +171,22 @@ def adam_step(
 
 
 def project_l2_ball(w: np.ndarray) -> np.ndarray:
-    """w scaled back onto the unit l2 ball if it lies outside."""
-    norm = math.sqrt(float(w @ w))
-    if norm <= 1.0:
+    """w scaled back onto the unit l2 ball if it lies outside; a (G, m) stack row by row."""
+    norms = _norms(w)
+    if (norms <= 1.0).all():
         return w
-    return w / norm
+    # x / 1.0 is x, so the rows inside the ball keep their bits
+    return w / np.maximum(norms, 1.0).reshape(*w.shape[:-1], 1)
 
 
-def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
+def _norms(w: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of ``w``, one dot product per row as for a 1-D ``w``."""
+    return np.sqrt([float(wg @ wg) for wg in w.reshape(-1, w.shape[-1])])
+
+
+def train(
+    spec: ObjectiveSpec | Sequence[ObjectiveSpec], d_train: Dataset, cfg: TrainConfig
+) -> Model | list[Model]:
     """Run exactly ``cfg.iterations`` ADAM steps and refit the final threshold.
 
     Each iteration takes the next minibatch of the epoch schedule (the whole
@@ -185,19 +194,27 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
     on it, updates the weights and optionally projects them onto the unit
     ball.  Bitwise deterministic for fixed inputs and seed.  A rule or minibatch
     count that some minibatch of ``d_train`` cannot support raises before any step.
+
+    A sequence of G specs of one rule kind and loss trains G points in
+    lockstep from the same initial weights on the same minibatches, as one
+    (G, m) weight stack, and returns their G models.  Each model has the bits
+    a one-spec call gives; its ``iter_ms`` is its 1/G share of each iteration.
     """
+    specs = [spec] if isinstance(spec, ObjectiveSpec) else list(spec)
     d_train.require_both_classes()
     check_minibatches(d_train, cfg.n_minibatch)
-    check_pool(spec.rule, d_train, cfg.n_minibatch)
+    for s in specs:
+        check_pool(s.rule, d_train, cfg.n_minibatch)
     rng = np.random.default_rng(cfg.seed)
     if cfg.init == "zeros":
         w = np.zeros(d_train.m)
     else:
         w = rng.uniform(-1.0, 1.0, d_train.m)
-    project = cfg.resolve_projection(spec.rule)
-    state = AdamState.fresh(d_train.m)
-    objective_trace = np.empty(cfg.iterations)
-    norm_trace = np.empty(cfg.iterations)
+    w = np.tile(w, (len(specs), 1))
+    project = cfg.resolve_projection(specs[0].rule)
+    state = AdamState.fresh(w.shape)
+    objective_trace = np.empty((len(specs), cfg.iterations))
+    norm_trace = np.empty((len(specs), cfg.iterations))
     ms_trace = np.empty(cfg.iterations)
 
     # one batch is the whole training set; more are gathered anew each epoch
@@ -209,19 +226,27 @@ def train(spec: ObjectiveSpec, d_train: Dataset, cfg: TrainConfig) -> Model:
             # release the old epoch's rows before gathering the next one
             batches = None
             batches = minibatch_epoch(d_train, cfg.n_minibatch, cfg.seed, epoch)
-        value, grad, _ = evaluate(spec, w, batches[pos])
-        if not math.isfinite(value):
+        value, grad, _ = evaluate(specs, w, batches[pos])
+        if not np.isfinite(value).all():
+            bad = float(value[~np.isfinite(value)][0])
             raise FloatingPointError(
-                f"objective became non-finite at iteration {it} (value {value!r})"
+                f"objective became non-finite at iteration {it} (value {bad!r})"
             )
         state, delta = adam_step(state, grad, cfg.adam)
         w = w + delta
         if project:
             w = project_l2_ball(w)
-        objective_trace[it] = value
-        norm_trace[it] = math.sqrt(float(w @ w))
+        objective_trace[:, it] = value
+        norm_trace[:, it] = _norms(w)
         ms_trace[it] = (time.perf_counter() - tic) * 1e3
 
-    t_final = threshold_scored(spec.rule, scores(w, d_train), d_train, spec.loss).t
-    history = TrainHistory(objective=objective_trace, w_norm=norm_trace, iter_ms=ms_trace)
-    return Model(w=w, spec=spec, config=cfg, t_final=t_final, history=history)
+    rules = [s.rule for s in specs]
+    t_final = threshold_scored(rules, scores(w, d_train), d_train, specs[0].loss).t
+    share = ms_trace / len(specs)
+    models = [
+        Model(w=w[g], spec=s, config=cfg, t_final=float(t_final[g]), history=TrainHistory(
+            objective=objective_trace[g], w_norm=norm_trace[g], iter_ms=share
+        ))
+        for g, s in enumerate(specs)
+    ]
+    return models[0] if isinstance(spec, ObjectiveSpec) else models

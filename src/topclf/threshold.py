@@ -31,6 +31,7 @@ the sorted breakpoints of its piecewise linear or quadratic equation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +105,12 @@ class ThresholdResult:
 
     ``support`` holds indices into the dataset the threshold was computed on
     (batch-relative when evaluated on a minibatch); ``weights[j]`` is the
-    coefficient of row ``support[j]`` in the threshold gradient.
+    coefficient of row ``support[j]`` in the threshold gradient.  For a
+    (G, n) score stack ``t`` holds the G thresholds and ``support`` flat
+    indices into the C-ordered stack, so row g's samples are g * n + i.
     """
 
-    t: float
+    t: float | np.ndarray
     support: np.ndarray
     weights: np.ndarray
 
@@ -135,61 +138,102 @@ def rule_from_token(
 
 
 def scores(w: np.ndarray, d: Dataset) -> np.ndarray:
-    """Linear scores z_i = w.x_i for every sample."""
+    """Linear scores z_i = w.x_i for every sample.
+
+    A (G, m) stack of weights gives the C-ordered (G, n) stack of their
+    scores, one matrix-vector product per row, so each row has the bits of
+    its own 1-D call.
+    """
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (d.m,):
+    if w.ndim not in (1, 2) or w.shape[-1] != d.m:
         raise ValueError(f"weight shape {w.shape} does not match {d.m} features")
-    z = d.features @ w
+    z = np.empty((len(w) if w.ndim == 2 else 1, d.n))
+    for row, wg in zip(z, w.reshape(len(z), d.m)):
+        np.matmul(d.features, wg, out=row)
     if not np.isfinite(z).all():
         raise ValueError("scores are not finite")
-    return z
+    return z if w.ndim == 2 else z[0]
 
 
-def top_k_mean(values: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+def _per_row(param, g_rows: int) -> list:
+    """One value of a rule parameter per row: ``param`` itself or each of its entries."""
+    return [param] * g_rows if np.isscalar(param) else list(param)
+
+
+def top_k_mean(
+    values: np.ndarray, k: int | Sequence[int]
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean of the k largest entries and their indices.
 
     Ties are broken toward the lowest index so the supporting set, and with
-    it the gradient, is deterministic.
+    it the gradient, is deterministic.  A (G, n) stack takes one k or one per
+    row and gives the G means and the flat indices of their supports in the
+    C-ordered stack, row by row.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not 1 <= k <= values.size:
-        raise ValueError(f"k must be in [1, {values.size}], got {k}")
-    if k == 1:
-        # argmax returns the first maximal index
-        support = np.array([np.argmax(values)])
-        return float(values[support[0]]), support
-    # linear-time selection of the k-th largest value
-    kth = np.partition(values, values.size - k)[values.size - k]
-    support = np.nonzero(values >= kth)[0]
-    excess = support.size - k
-    if excess:
+    size = values.shape[-1]
+    rows = values.reshape(-1, size)
+    g_rows = len(rows)
+    ks = _per_row(k, g_rows)
+    if not (1 <= min(ks) and max(ks) <= size):
+        raise ValueError(f"k must be in [1, {size}], got {k}")
+    if max(ks) == 1:
+        # argmax returns the first maximal index; the mean of one value is that value
+        flat = rows.argmax(axis=1) + np.arange(0, g_rows * size, size)
+        t = rows.reshape(-1)[flat]
+        return (t, flat) if values.ndim == 2 else (float(t[0]), flat)
+    # linear-time selection of the k-th largest value of each row
+    last = [size - kg for kg in ks]
+    kth = np.partition(rows, sorted(set(last)), axis=1)[range(g_rows), last]
+    reach = rows >= kth[:, None]
+    flat = np.flatnonzero(reach)
+    if flat.size > sum(ks):
         # more than k entries reach the k-th value: drop the highest-index ties
-        tied = np.nonzero(values[support] == kth)[0]
-        support = np.delete(support, tied[-excess:])
-    # descending by value, ties by low index: the order of a stable sort
-    support = support[np.argsort(-values[support], kind="stable")]
-    # sum / k has the same bits as mean() and skips its overhead
-    return float(values[support].sum() / k), support
+        for g, extra in enumerate((np.count_nonzero(reach, axis=1) - ks).tolist()):
+            if extra:
+                tied = np.flatnonzero(rows[g] == kth[g])
+                reach[g, tied[-extra:]] = False
+        flat = np.flatnonzero(reach)
+    top = rows.reshape(-1)[flat]
+    # row g holds k_g of the indices; by row, then descending by value, ties
+    # by low index: the order of a stable sort, as lexsort is stable
+    order = np.lexsort((-top, np.repeat(np.arange(g_rows), ks)))
+    top, flat = top[order], flat[order]
+    # sum / k has the same bits as mean() and skips its overhead; one value is
+    # taken as it is, since a sum turns -0.0 into 0.0
+    t, start = np.empty(g_rows), 0
+    for g, kg in enumerate(ks):
+        t[g] = top[start] if kg == 1 else top[start:start + kg].sum() / kg
+        start += kg
+    return (t, flat) if values.ndim == 2 else (float(t[0]), flat)
 
 
-def exact_quantile(values: np.ndarray, tau: float) -> float:
+def exact_quantile(values: np.ndarray, tau: float | Sequence[float]) -> float | np.ndarray:
     """The ceil(tau*n)-th largest value.
 
     Equivalently the largest t such that at least a tau fraction of the
-    entries is >= t.
+    entries is >= t.  A (G, n) stack takes one tau or one per row and gives
+    each row's quantile.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    size = values.shape[-1]
+    if size == 0:
         raise ValueError("cannot take a quantile of an empty vector")
-    if not 0.0 < tau <= 1.0:
+    rows = values.reshape(-1, size)
+    taus = _per_row(tau, len(rows))
+    if not all(0.0 < x <= 1.0 for x in taus):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    k = math.ceil(tau * values.size)
-    return float(np.partition(values, values.size - k)[values.size - k])
+    last = [size - math.ceil(x * size) for x in taus]
+    t = np.partition(rows, sorted(set(last)), axis=1)[range(len(rows)), last]
+    return t if values.ndim == 2 else float(t[0])
 
 
 def surrogate_quantile(
-    values: np.ndarray, tau: float, beta: float, loss: SurrogateLoss = HINGE
-) -> float:
+    values: np.ndarray,
+    tau: float | Sequence[float],
+    beta: float | Sequence[float],
+    loss: SurrogateLoss = HINGE,
+) -> float | np.ndarray:
     """Solve mean_i l(beta*(z_i - t)) = tau for t.
 
     The left side is continuous, non-increasing in t and strictly decreasing
@@ -198,87 +242,123 @@ def surrogate_quantile(
     the j largest scores are active and the equation is linear (hinge) or
     quadratic (quadratic hinge) in t; one scan of the breakpoint residuals
     finds the segment of the root, which is solved there in closed form.
+    A (G, n) stack takes one tau and beta or one per row, sorts every row at
+    once and gives each row's root.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    n = values.shape[-1]
+    if n == 0:
         raise ValueError("cannot take a surrogate quantile of an empty vector")
-    if not 0.0 < tau < 1.0:
+    rows = values.reshape(-1, n)
+    taus, betas = _per_row(tau, len(rows)), _per_row(beta, len(rows))
+    if not all(0.0 < x < 1.0 for x in taus):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if beta <= 0.0:
+    if not all(x > 0.0 for x in betas):
         raise ValueError(f"beta must be positive, got {beta}")
-    n = values.size
-    z = np.sort(values)[::-1]
+    z = np.sort(rows, axis=1)[:, ::-1]
     j = np.arange(n)
+    zero = np.zeros((len(rows), 1))
     # residual at breakpoint t_j, where the j-th term vanishes, non-decreasing in j
     if loss.kind == "hinge":
         # c_j = (beta/n) * sum_{i<j} (z_(i) - z_(j))
-        prefix = np.concatenate(([0.0], np.cumsum(z)))
-        c = (beta / n) * (prefix[:n] - j * z)
+        prefix = np.concatenate((zero, np.cumsum(z, axis=1)), axis=1)
+        c = (np.array(betas) / n)[:, None] * (prefix[:, :n] - j * z)
     else:
         # c_j = (beta^2/n) * sum_{i<j} (z_(i) - z_(j))^2 from prefix sums of
         # y = z - z_(0): each term is at most y_j^2 and the sum at least y_j^2,
         # so the cancellation error does not grow with the score offset
-        y = z - z[0]
-        py = np.concatenate(([0.0], np.cumsum(y)))
-        qy = np.concatenate(([0.0], np.cumsum(y * y)))
-        c = (beta * beta / n) * (qy[:n] - 2.0 * y * py[:n] + j * y * y)
+        y = z - z[:, :1]
+        py = np.concatenate((zero, np.cumsum(y, axis=1)), axis=1)
+        qy = np.concatenate((zero, np.cumsum(y * y, axis=1)), axis=1)
+        b = np.array(betas)
+        c = (b * b / n)[:, None] * (qy[:, :n] - 2.0 * y * py[:, :n] + j * y * y)
     # accumulate guards the binary search against rounding wobble in the
     # prefix-sum cancellation
-    c = np.maximum.accumulate(c)
-    # the root lies on the segment where the `a` largest scores are active;
-    # a == n when tau exceeds every breakpoint residual
-    a = int(np.searchsorted(c, tau, side="left"))
-    if loss.kind == "hinge":
-        if a >= n:
-            return float(prefix[n] / n + (1.0 - tau) / beta)
-        # solve a + beta*(S_a - a t) = n tau
-        return float((a + beta * prefix[a] - n * tau) / (beta * a))
-    # solve sum_{i<a} (1 + beta*(z_(i) - t))^2 = n tau, i.e. a*s^2 + beta^2*D
-    # = n tau with s = 1 + beta*(m - t) >= 0, m the mean and D the centred sum
-    # of squares of the active scores (from the scores, for full precision);
-    # n tau > n c_(a-1) >= beta^2 D, so only rounding can make s^2 negative
-    top = z[:a]
-    m = top.mean()
-    dev = top - m
-    s2 = max((n * tau - beta * beta * float(dev @ dev)) / a, 0.0)
-    return float(m + (1.0 - math.sqrt(s2)) / beta)
+    c = np.maximum.accumulate(c, axis=1)
+    t = np.empty(len(rows))
+    for g, (cg, tg, bg) in enumerate(zip(c, taus, betas)):
+        # the root lies on the segment where the `a` largest scores are active;
+        # a == n when tau exceeds every breakpoint residual
+        a = int(np.searchsorted(cg, tg, side="left"))
+        if loss.kind == "hinge" and a >= n:
+            t[g] = prefix[g, n] / n + (1.0 - tg) / bg
+        elif loss.kind == "hinge":
+            # solve a + beta*(S_a - a t) = n tau
+            t[g] = (a + bg * prefix[g, a] - n * tg) / (bg * a)
+        else:
+            # solve sum_{i<a} (1 + beta*(z_(i) - t))^2 = n tau, i.e. a*s^2 + beta^2*D
+            # = n tau with s = 1 + beta*(m - t) >= 0, m the mean and D the centred sum
+            # of squares of the active scores (from the scores, for full precision);
+            # n tau > n c_(a-1) >= beta^2 D, so only rounding can make s^2 negative
+            top = z[g, :a]
+            m = top.mean()
+            dev = top - m
+            s2 = max((n * tg - bg * bg * float(dev @ dev)) / a, 0.0)
+            t[g] = m + (1.0 - math.sqrt(s2)) / bg
+    return t if values.ndim == 2 else float(t[0])
 
 
 def threshold_scored(
-    rule: ThresholdRule, z: np.ndarray, d: Dataset, loss: SurrogateLoss = HINGE
+    rule: ThresholdRule | Sequence[ThresholdRule],
+    z: np.ndarray,
+    d: Dataset,
+    loss: SurrogateLoss = HINGE,
 ) -> ThresholdResult:
-    """Threshold, gradient weights and support for ``rule`` at the scores ``z`` of ``d``."""
-    kind = rule.kind
-    sel = check_pool(rule, d)
-    zsel = z if sel is None else z[sel]
+    """Threshold, gradient weights and support for ``rule`` at the scores ``z`` of ``d``.
 
+    A sequence of G rules of one kind takes a (G, n) stack of scores, one rule
+    per row, and thresholds every row at once; each row's result has the bits
+    of its own 1-D call.
+    """
+    rules = [rule] if isinstance(rule, ThresholdRule) else list(rule)
+    kind = rules[0].kind
+    if any(r.kind != kind for r in rules):
+        raise ValueError("a score stack takes rules of one kind")
+    stack = z.reshape(-1, z.shape[-1])
+    if len(stack) != len(rules):
+        raise ValueError(f"{len(stack)} score rows for {len(rules)} rules")
+    for r in rules:
+        # every row's rule must fit the pool, which the kind alone decides
+        sel = check_pool(r, d)
+    # take keeps the rows C-ordered, so their sums have the bits of 1-D sums
+    zsel = stack if sel is None else stack.take(sel, axis=1)
+    g_rows, size = zsel.shape
+
+    # flat indices into the C-ordered zsel, row by row, and their weights
     if kind in TOP_K_KINDS:
         if kind == "top_push":
-            k = 1
+            k = [1] * g_rows
         elif kind == "top_push_k":
-            k = rule.k
+            k = [r.k for r in rules]
         else:
-            k = math.ceil(rule.tau * zsel.size)
-        t, local = top_k_mean(zsel, k)
-        weights = np.full(k, 1.0 / k)
+            k = [math.ceil(r.tau * size) for r in rules]
+        t, flat = top_k_mean(zsel, k)
+        weights = np.repeat(1.0 / np.array(k), k)
     elif kind in QUANTILE_KINDS:
-        t = exact_quantile(zsel, rule.tau)
+        t = exact_quantile(zsel, [r.tau for r in rules])
         # gradient treated as zero: t is recomputed after every step
-        local = np.flatnonzero(zsel == t)
-        weights = np.zeros(local.size)
+        flat = np.flatnonzero(zsel == t[:, None])
+        weights = np.zeros(flat.size)
     else:  # surrogate quantile kinds
-        t = surrogate_quantile(zsel, rule.tau, rule.beta, loss)
-        deriv = loss.deriv(rule.beta * (zsel - t))
-        denom = float(deriv.sum())
-        if denom <= 0.0:
+        betas = [r.beta for r in rules]
+        t = surrogate_quantile(zsel, [r.tau for r in rules], betas, loss)
+        deriv = loss.deriv(np.array(betas)[:, None] * (zsel - t[:, None]))
+        denom = deriv.sum(axis=1)
+        if (denom <= 0.0).any():
             raise ValueError(
                 "all surrogate derivatives vanished; the implicit threshold "
                 "gradient is undefined"
             )
-        local = np.flatnonzero(deriv > 0.0)
-        weights = deriv[local] / denom
-    support = local if sel is None else sel[local]
-    return ThresholdResult(t=float(t), support=support, weights=weights)
+        active = deriv > 0.0
+        flat = np.flatnonzero(active)
+        # each row's active derivatives over that row's sum
+        weights = deriv.reshape(-1)[flat] / np.repeat(denom, np.count_nonzero(active, axis=1))
+    if sel is not None:
+        # the flat index in the stack of every pooled score; one row's are sel's
+        if g_rows > 1:
+            sel = (np.arange(g_rows)[:, None] * stack.shape[1] + sel).ravel()
+        flat = sel[flat]
+    return ThresholdResult(t=t if z.ndim == 2 else float(t[0]), support=flat, weights=weights)
 
 
 def check_pool(rule: ThresholdRule, d: Dataset, parts: int = 1) -> np.ndarray | None:

@@ -362,6 +362,29 @@ class TestGrid:
         assert records[0]["params"] == {"lambda": 0.001}
         assert sorted(p.name for p in out.iterdir()) == sorted(GRID_ARTIFACTS)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_objective_names_the_grid_point(self, tmp_path, capsys, jobs):
+        # the data of test_non_finite_objective_aborts, four rows of each class
+        path = tmp_path / "big.csv"
+        path.write_text("x,label\n" + "-1e200,1\n" * 4 + "1e200,0\n" * 4)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "datasets": [{"name": "big", "path": str(path), "label": "label", "pos": "1"}],
+            "methods": [{"method": "toppush"}],
+            "grid": {"lambdas": [0.0, 0.1]},
+            "train": {"iterations": 3, "init": "uniform", "seed": 0},
+            "loss": "quadratic_hinge",
+            "select": {"criterion": "positives_at_top"},
+        }))
+        with np.errstate(over="ignore"):
+            code = run("grid", "--manifest", mpath, "--jobs", jobs, "--out", tmp_path / "g")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: dataset 'big', method toppush, grid point lambda=0: "
+            "objective became non-finite at iteration 0 (value inf)"
+        ) in err
+
     def test_invalid_manifest_json_is_usage_error(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.json"
         mpath.write_text('{"datasets": [{"name": "s", "format": "synth", "n": 40}],\n  "methods": [{')

@@ -11,6 +11,7 @@ from topclf.evaluation import (
     Counts,
     build_report,
     counts,
+    criteria_table,
     criterion,
     pr_curve,
     precision_recall,
@@ -291,20 +292,35 @@ class TestScorePasses:
         build_report(w, 0.0, d, [0.01, 0.03])
         assert len(calls) == 1
 
-    def test_run_point_scores_each_split_once(self, monkeypatch):
+    def test_run_cell_scores_each_split_once(self, monkeypatch):
         parts = split(synth_example(40, seed=1), SplitSpec(seed=2))
         cfg = TrainConfig(iterations=3)
-        spec = ObjectiveSpec(rule=rule_from_token("patmat", tau=0.2, beta=1.0), loss=HINGE)
+        points = [{"beta": 1.0, "lambda": 0.0}, {"beta": 0.1, "lambda": 0.0}]
+        specs = [
+            ObjectiveSpec(rule=rule_from_token("patmat", tau=0.2, beta=p["beta"]), loss=HINGE)
+            for p in points
+        ]
         # training and f(w) score the training split on their own; stub them to see the criteria
-        model = train(spec, parts[0], cfg)
-        monkeypatch.setattr(experiment, "train", lambda spec, d, cfg: model)
-        monkeypatch.setattr(experiment, "objective", lambda spec, w, d: 0.0)
+        models = train(specs, parts[0], cfg)
+        monkeypatch.setattr(experiment, "train", lambda specs, d, cfg: models)
+        monkeypatch.setattr(experiment, "objective", lambda specs, w, d: np.zeros(len(w)))
         monkeypatch.setattr(experiment, "_RUN", {})
         experiment._hold_run({"synth": parts}, cfg, [0.1, 0.3])
-        calls = counting_scores(monkeypatch)
-        record = experiment._run_point(("synth", spec, {"beta": 1.0, "lambda": 0.0}))
-        assert [id(d) for d in calls] == [id(d) for d in parts]
-        assert set(record.criteria) == {"train", "valid", "test"}
+        calls = []
+
+        def counted(w, d):
+            calls.append((id(d), np.shape(w)))
+            return scores(w, d)
+
+        monkeypatch.setattr(experiment, "scores", counted)
+        records = experiment._run_cell(("synth", specs, points))
+        # one pass per split scores both points, one row each
+        assert calls == [(id(d), (2, d.m)) for d in parts]
+        for record, model in zip(records, models):
+            assert record.criteria == {
+                name: criteria_table(scores(model.w, d), d, [0.1, 0.3])
+                for name, d in zip(("train", "valid", "test"), parts)
+            }
 
     def test_worked_example_scores_each_point_once(self, monkeypatch):
         calls = counting_scores(monkeypatch)

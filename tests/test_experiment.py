@@ -471,11 +471,12 @@ class TestRunScheduling:
         assert len(calls) == 6 + 2 + 3
         assert len(result["records"]) == 2 * (6 + 2 + 3)
 
-    @pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (64, 22)])
+    @pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (64, 6)])
     def test_one_map_on_at_most_one_worker_per_task(
         self, tmp_path, monkeypatch, pools, jobs, workers
     ):
-        # one grid_search call runs every task of the run
+        # one grid_search call runs every task of the run, one task per
+        # (dataset, method) cell: 2 datasets x 3 methods
         calls = []
 
         def counted(tasks, *args):
@@ -484,13 +485,13 @@ class TestRunScheduling:
 
         monkeypatch.setattr(experiment, "grid_search", counted)
         run_manifest(uneven_manifest(), tmp_path, jobs=jobs)
-        assert calls == [22]
+        assert calls == [6]
         if workers is None:
             assert pools == []
         else:
             [pool] = pools
             assert pool.max_workers == workers
-            assert pool.map_sizes == [22]
+            assert pool.map_sizes == [6]
 
 
 CSV_ENTRY = {"name": "c", "format": "csv", "path": "c.csv", "label": "y", "pos": "1"}

@@ -8,6 +8,7 @@ import pytest
 from helpers import central_diff, oracle_adam_step, random_dataset
 from topclf import solver
 from topclf.data import Dataset, minibatch_epoch, synth_example
+from topclf.experiment import Grid, grid_points
 from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.solver import (
     AdamParams,
@@ -18,8 +19,15 @@ from topclf.solver import (
     project_l2_ball,
     train,
 )
-from topclf.surrogate import QUADRATIC_HINGE
-from topclf.threshold import ThresholdRule, rule_from_token, scores, threshold_scored
+from topclf.surrogate import QUADRATIC_HINGE, make_loss
+from topclf.threshold import (
+    CLI_TOKENS,
+    ThresholdRule,
+    method_params,
+    rule_from_token,
+    scores,
+    threshold_scored,
+)
 
 
 def toppush_spec(lam=0.0):
@@ -281,3 +289,57 @@ class TestImbalancedMinibatches:
         assert len(minibatch_epoch(d, 4, seed=0, epoch=0)) == 4
         with pytest.raises(ValueError, match="one class"):
             minibatch_epoch(d, 5, seed=0, epoch=0)
+
+
+def default_grid_specs(token, loss):
+    """The specs of ``token``'s default six-point grid, as a grid run builds them."""
+    specs = []
+    for point in grid_points(token, Grid()):
+        swept = {key: value for key, value in point.items() if key != "lambda"}
+        tau = 0.2 if "tau" in method_params(token) else None
+        rule = rule_from_token(token, tau=tau, **swept)
+        specs.append(ObjectiveSpec(rule=rule, loss=make_loss(loss), lam=point["lambda"]))
+    return specs
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("token", sorted(CLI_TOKENS))
+    @pytest.mark.parametrize("loss", ["hinge", "quadratic_hinge"])
+    @pytest.mark.parametrize("n_minibatch", [1, 3])
+    @pytest.mark.parametrize("init", ["zeros", "uniform"])
+    def test_grid_matches_one_point_at_a_time(self, token, loss, n_minibatch, init):
+        # every minibatch holds 80 rows, enough positives that a sum taken
+        # in another order than the 1-D one would move the objective's last bits
+        d = random_dataset(np.random.default_rng(17), n=240, m=3, pos_frac=0.4)
+        cfg = TrainConfig(iterations=12, n_minibatch=n_minibatch, seed=5, init=init)
+        specs = default_grid_specs(token, loss)
+        models = train(specs, d, cfg)
+        assert len(models) == len(specs) == 6
+        for spec, model in zip(specs, models):
+            alone = train(spec, d, cfg)
+            assert model.spec == spec
+            assert np.array_equal(model.w, alone.w)
+            assert np.array_equal(model.t_final, alone.t_final)
+            assert np.array_equal(model.history.objective, alone.history.objective)
+            assert np.array_equal(model.history.w_norm, alone.history.w_norm)
+
+    def test_iteration_time_is_shared_by_the_points(self):
+        d = random_dataset(np.random.default_rng(18), n=60)
+        specs = [toppush_spec(lam) for lam in (0.0, 1e-3, 1e-2)]
+        models = train(specs, d, TrainConfig(iterations=4))
+        first = models[0].history.iter_ms
+        assert first.shape == (4,) and np.all(first > 0.0)
+        for model in models[1:]:
+            assert np.array_equal(model.history.iter_ms, first)
+
+    def test_mixed_losses_rejected(self):
+        d = random_dataset(np.random.default_rng(19), n=30)
+        specs = [toppush_spec(), ObjectiveSpec(ThresholdRule("top_push"), loss=QUADRATIC_HINGE)]
+        with pytest.raises(ValueError, match="one loss"):
+            train(specs, d, TrainConfig(iterations=2))
+
+    def test_mixed_rule_kinds_rejected(self):
+        d = random_dataset(np.random.default_rng(20), n=30)
+        specs = [toppush_spec(), ObjectiveSpec(rule=ThresholdRule("quantile", tau=0.5))]
+        with pytest.raises(ValueError, match="rules of one kind"):
+            train(specs, d, TrainConfig(iterations=2))

@@ -18,6 +18,7 @@ from topclf.data import Dataset, synth_example
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
 from topclf.threshold import (
     NEGATIVE_KINDS,
+    RULES,
     ThresholdRule,
     check_pool,
     exact_quantile,
@@ -494,3 +495,36 @@ class TestTopKMeanOracle:
             assert np.array_equal(res.support, sel[local])
             assert np.array_equal(res.weights, np.full(k, 1.0 / k))
 
+
+
+class TestScoreStack:
+    @pytest.mark.parametrize("kind", sorted(RULES))
+    @pytest.mark.parametrize("loss", [HINGE, QUADRATIC_HINGE], ids=["hinge", "quadratic_hinge"])
+    def test_rows_match_their_own_calls(self, kind, loss):
+        rng = np.random.default_rng(31)
+        d = random_dataset(rng, n=40, m=2)
+        # quarter-step weights on integer features tie scores, at the threshold too
+        d = Dataset(np.round(3 * d.features), d.labels)
+        w = rng.integers(-4, 5, (5, d.m)) / 4.0
+        params = {
+            "k": [1, 2, 3, 5, 8],
+            "tau": [0.1, 0.2, 0.2, 0.5, 0.9],
+            "beta": [0.1, 1.0, 1.0, 3.0, 10.0],
+        }
+        _, takes, _ = RULES[kind]
+        rules = [ThresholdRule(kind, **{p: params[p][g] for p in takes}) for g in range(5)]
+        z = scores(w, d)
+        stacked = threshold_scored(rules, z, d, loss)
+        assert stacked.t.shape == (5,)
+        for g, (rule, zg) in enumerate(zip(rules, z)):
+            alone = threshold_scored(rule, zg, d, loss)
+            mine = stacked.support // d.n == g
+            assert stacked.t[g] == alone.t
+            assert np.array_equal(stacked.support[mine] - g * d.n, alone.support)
+            assert np.array_equal(stacked.weights[mine], alone.weights)
+
+    def test_row_count_must_match_the_rules(self):
+        d = random_dataset(np.random.default_rng(32), n=20)
+        z = scores(np.ones((3, d.m)), d)
+        with pytest.raises(ValueError, match="3 score rows for 2 rules"):
+            threshold_scored([ThresholdRule("top_push")] * 2, z, d)
