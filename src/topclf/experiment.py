@@ -293,11 +293,11 @@ def reproduce_worked_example(
     rows = []
     for token, spec in specs.items():
         for point_name, w in (("w1", w1), ("w2", w2)):
-            f_meas, _, tres = evaluate(spec, w, d)
+            f_meas, _, tres = evaluate([spec], w[None], d)
             t_exp, f_exp = expected[token][point_name]
             rows.append({
-                "method": token, "point": point_name, "t": tres.t, "t_expected": t_exp,
-                "f": f_meas, "f_expected": f_exp,
+                "method": token, "point": point_name, "t": float(tres.t[0]), "t_expected": t_exp,
+                "f": float(f_meas[0]), "f_expected": f_exp,
             })
     return rows
 
@@ -455,9 +455,9 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
                     where = f"dataset {name!r}, method {method_id(spec)}, training split ({within})"
                     raise ManifestError(f"{where}: {exc}") from None
             tasks.append((name, specs, points))
+    winners, all_records = grid_search(tasks, splits, cfg, select, criteria_taus, jobs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    winners, all_records = grid_search(tasks, splits, cfg, select, criteria_taus, jobs)
 
     write_json(out / "run_records.json", [vars(r) for r in all_records])
     ranks = rank_table(winners, sorted(winners[0].criteria["test"]))

@@ -59,26 +59,23 @@ class ObjectiveSpec:
 
 
 def evaluate(
-    spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray, d: Dataset
-) -> tuple[float | np.ndarray, np.ndarray, ThresholdResult]:
-    """Objective value and gradient in one pass, sharing the score buffer.
+    specs: Sequence[ObjectiveSpec], w: np.ndarray, d: Dataset
+) -> tuple[np.ndarray, np.ndarray, ThresholdResult]:
+    """Objective values and gradients of a (G, m) weight stack in one pass.
 
-    A sequence of G specs of one rule kind and loss takes a (G, m) stack of
-    weights, one spec per row, and gives G values, the (G, m) gradients and
-    the stack's threshold result; each row has the bits of its own 1-D call.
+    Row g is evaluated under ``specs[g]``; the specs share their loss and their rule's kind
+    and tau (see :func:`threshold_scored`).  Gives the G values, the (G, m) gradients and
+    the stack's threshold result, each row with the bits of a one-row stack of it.
     """
     d.require_both_classes()
-    single = isinstance(spec, ObjectiveSpec)
-    specs = [spec] if single else list(spec)
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[:-1] != (() if single else (len(specs),)):
+    if w.shape[:-1] != (len(specs),):
         raise ValueError(f"weight shape {w.shape} does not match {len(specs)} specs")
     loss = specs[0].loss
     if any(sg.loss.kind != loss.kind for sg in specs):
         raise ValueError("a weight stack takes specs of one loss")
-    # every step below acts on each C-ordered row as the 1-D code would
-    W = w.reshape(len(specs), -1)
-    Z = scores(W, d)
+    # every step below acts on each C-ordered row as a one-row stack would
+    Z = scores(w, d)
     tres = threshold_scored([sg.rule for sg in specs], Z, d, loss)
     t = tres.t[:, None]
     up = t - Z.take(d.pos_idx, axis=1)
@@ -108,21 +105,16 @@ def evaluate(
     # needs no lookup of the row each index lies in
     scale = s if len(specs) == 1 else s[tres.support // d.n]
     c.reshape(-1)[tres.support] += scale * tres.weights
-    grad = np.empty(W.shape)
-    for g, (sg, wg, cg, row) in enumerate(zip(specs, W, c, grad)):
+    grad = np.empty(w.shape)
+    for g, (sg, wg, cg, row) in enumerate(zip(specs, w, c, grad)):
         np.matmul(cg, d.features, out=row)
         if sg.lam:
             value[g] += 0.5 * sg.lam * float(wg @ wg)
             row += sg.lam * wg
-    if single:
-        tres = ThresholdResult(float(tres.t[0]), tres.support, tres.weights)
-        return float(value[0]), grad[0], tres
     return value, grad, tres
 
 
-def objective(
-    spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray, d: Dataset
-) -> float | np.ndarray:
-    """f(w) on dataset ``d`` (full data or a minibatch); a stack as in :func:`evaluate`."""
-    value, _, _ = evaluate(spec, w, d)
+def objective(specs: Sequence[ObjectiveSpec], w: np.ndarray, d: Dataset) -> np.ndarray:
+    """f(w) of each row of a (G, m) weight stack on ``d`` (full data or a minibatch)."""
+    value, _, _ = evaluate(specs, w, d)
     return value

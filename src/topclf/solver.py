@@ -97,7 +97,9 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-iteration trace: minibatch objective, post-step ||w||, wall time."""
+    """Per-iteration trace: minibatch objective, post-step ||w|| and wall time, of which
+    each of G points trained in lockstep reads 1/G.
+    """
 
     objective: np.ndarray
     w_norm: np.ndarray

@@ -101,16 +101,13 @@ class ThresholdRule:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Threshold value, the samples determining it and their gradient weights.
+    """The G thresholds ``t`` of a (G, n) score stack, their samples and gradient weights.
 
-    ``support`` holds indices into the dataset the threshold was computed on
-    (batch-relative when evaluated on a minibatch); ``weights[j]`` is the
-    coefficient of row ``support[j]`` in the threshold gradient.  For a
-    (G, n) score stack ``t`` holds the G thresholds and ``support`` flat
-    indices into the C-ordered stack, so row g's samples are g * n + i.
+    ``support`` holds flat indices g * n + i into the C-ordered stack, i indexing the scored
+    dataset (batch-relative on a minibatch); ``weights[j]`` is that sample's gradient weight.
     """
 
-    t: float | np.ndarray
+    t: np.ndarray
     support: np.ndarray
     weights: np.ndarray
 
@@ -147,41 +144,29 @@ def scores(w: np.ndarray, d: Dataset) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim not in (1, 2) or w.shape[-1] != d.m:
         raise ValueError(f"weight shape {w.shape} does not match {d.m} features")
-    z = np.empty((len(w) if w.ndim == 2 else 1, d.n))
-    for row, wg in zip(z, w.reshape(len(z), d.m)):
+    z = np.empty((*w.shape[:-1], d.n))
+    for row, wg in zip(np.atleast_2d(z), np.atleast_2d(w)):
         np.matmul(d.features, wg, out=row)
     if not np.isfinite(z).all():
         raise ValueError("scores are not finite")
-    return z if w.ndim == 2 else z[0]
+    return z
 
 
-def _per_row(param, g_rows: int) -> list:
-    """One value of a rule parameter per row: ``param`` itself or each of its entries."""
-    return [param] * g_rows if np.isscalar(param) else list(param)
-
-
-def top_k_mean(
-    values: np.ndarray, k: int | Sequence[int]
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean of the k largest entries and their indices.
+def top_k_mean(rows: np.ndarray, ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the k_g largest entries of each row g of a (G, n) stack, and their indices.
 
     Ties are broken toward the lowest index so the supporting set, and with
-    it the gradient, is deterministic.  A (G, n) stack takes one k or one per
-    row and gives the G means and the flat indices of their supports in the
-    C-ordered stack, row by row.
+    it the gradient, is deterministic.  Gives the G means and the flat
+    indices of their supports in the C-ordered stack, row by row.
     """
-    values = np.asarray(values, dtype=np.float64)
-    size = values.shape[-1]
-    rows = values.reshape(-1, size)
-    g_rows = len(rows)
-    ks = _per_row(k, g_rows)
+    rows = np.asarray(rows, dtype=np.float64)
+    g_rows, size = rows.shape
     if not (1 <= min(ks) and max(ks) <= size):
-        raise ValueError(f"k must be in [1, {size}], got {k}")
+        raise ValueError(f"k must be in [1, {size}], got {ks}")
     if max(ks) == 1:
         # argmax returns the first maximal index; the mean of one value is that value
         flat = rows.argmax(axis=1) + np.arange(0, g_rows * size, size)
-        t = rows.reshape(-1)[flat]
-        return (t, flat) if values.ndim == 2 else (float(t[0]), flat)
+        return rows.reshape(-1)[flat], flat
     # linear-time selection of the k-th largest value of each row
     last = [size - kg for kg in ks]
     kth = np.partition(rows, sorted(set(last)), axis=1)[range(g_rows), last]
@@ -205,35 +190,28 @@ def top_k_mean(
     for g, kg in enumerate(ks):
         t[g] = top[start] if kg == 1 else top[start:start + kg].sum() / kg
         start += kg
-    return (t, flat) if values.ndim == 2 else (float(t[0]), flat)
+    return t, flat
 
 
-def exact_quantile(values: np.ndarray, tau: float | Sequence[float]) -> float | np.ndarray:
-    """The ceil(tau*n)-th largest value.
+def exact_quantile(values: np.ndarray, tau: float) -> float | np.ndarray:
+    """The ceil(tau*n)-th largest value of a vector, or of each row of a (G, n) stack.
 
     Equivalently the largest t such that at least a tau fraction of the
-    entries is >= t.  A (G, n) stack takes one tau or one per row and gives
-    each row's quantile.
+    entries is >= t.
     """
     values = np.asarray(values, dtype=np.float64)
     size = values.shape[-1]
     if size == 0:
         raise ValueError("cannot take a quantile of an empty vector")
-    rows = values.reshape(-1, size)
-    taus = _per_row(tau, len(rows))
-    if not all(0.0 < x <= 1.0 for x in taus):
+    if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    last = [size - math.ceil(x * size) for x in taus]
-    t = np.partition(rows, sorted(set(last)), axis=1)[range(len(rows)), last]
-    return t if values.ndim == 2 else float(t[0])
+    last = size - math.ceil(tau * size)
+    return np.partition(values, last, axis=-1).take(last, axis=-1)
 
 
 def surrogate_quantile(
-    values: np.ndarray,
-    tau: float | Sequence[float],
-    beta: float | Sequence[float],
-    loss: SurrogateLoss = HINGE,
-) -> float | np.ndarray:
+    rows: np.ndarray, tau: float, beta: Sequence[float], loss: SurrogateLoss = HINGE
+) -> np.ndarray:
     """Solve mean_i l(beta*(z_i - t)) = tau for t.
 
     The left side is continuous, non-increasing in t and strictly decreasing
@@ -242,27 +220,26 @@ def surrogate_quantile(
     the j largest scores are active and the equation is linear (hinge) or
     quadratic (quadratic hinge) in t; one scan of the breakpoint residuals
     finds the segment of the root, which is solved there in closed form.
-    A (G, n) stack takes one tau and beta or one per row, sorts every row at
-    once and gives each row's root.
+    Each row g of a (G, n) stack is solved with ``beta[g]``; every row is
+    sorted at once, and the G roots come back.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[-1]
+    rows = np.asarray(rows, dtype=np.float64)
+    g_rows, n = rows.shape
     if n == 0:
         raise ValueError("cannot take a surrogate quantile of an empty vector")
-    rows = values.reshape(-1, n)
-    taus, betas = _per_row(tau, len(rows)), _per_row(beta, len(rows))
-    if not all(0.0 < x < 1.0 for x in taus):
+    if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if not all(x > 0.0 for x in betas):
-        raise ValueError(f"beta must be positive, got {beta}")
+    b = np.asarray(beta, dtype=np.float64)
+    if b.shape != (g_rows,) or (b <= 0.0).any():
+        raise ValueError(f"beta must be positive, one per row, got {beta}")
     z = np.sort(rows, axis=1)[:, ::-1]
     j = np.arange(n)
-    zero = np.zeros((len(rows), 1))
+    zero = np.zeros((g_rows, 1))
     # residual at breakpoint t_j, where the j-th term vanishes, non-decreasing in j
     if loss.kind == "hinge":
         # c_j = (beta/n) * sum_{i<j} (z_(i) - z_(j))
         prefix = np.concatenate((zero, np.cumsum(z, axis=1)), axis=1)
-        c = (np.array(betas) / n)[:, None] * (prefix[:, :n] - j * z)
+        c = (b / n)[:, None] * (prefix[:, :n] - j * z)
     else:
         # c_j = (beta^2/n) * sum_{i<j} (z_(i) - z_(j))^2 from prefix sums of
         # y = z - z_(0): each term is at most y_j^2 and the sum at least y_j^2,
@@ -270,21 +247,20 @@ def surrogate_quantile(
         y = z - z[:, :1]
         py = np.concatenate((zero, np.cumsum(y, axis=1)), axis=1)
         qy = np.concatenate((zero, np.cumsum(y * y, axis=1)), axis=1)
-        b = np.array(betas)
         c = (b * b / n)[:, None] * (qy[:, :n] - 2.0 * y * py[:, :n] + j * y * y)
     # accumulate guards the binary search against rounding wobble in the
     # prefix-sum cancellation
     c = np.maximum.accumulate(c, axis=1)
-    t = np.empty(len(rows))
-    for g, (cg, tg, bg) in enumerate(zip(c, taus, betas)):
+    t = np.empty(g_rows)
+    for g, (cg, bg) in enumerate(zip(c, beta)):
         # the root lies on the segment where the `a` largest scores are active;
         # a == n when tau exceeds every breakpoint residual
-        a = int(np.searchsorted(cg, tg, side="left"))
+        a = int(np.searchsorted(cg, tau, side="left"))
         if loss.kind == "hinge" and a >= n:
-            t[g] = prefix[g, n] / n + (1.0 - tg) / bg
+            t[g] = prefix[g, n] / n + (1.0 - tau) / bg
         elif loss.kind == "hinge":
             # solve a + beta*(S_a - a t) = n tau
-            t[g] = (a + bg * prefix[g, a] - n * tg) / (bg * a)
+            t[g] = (a + bg * prefix[g, a] - n * tau) / (bg * a)
         else:
             # solve sum_{i<a} (1 + beta*(z_(i) - t))^2 = n tau, i.e. a*s^2 + beta^2*D
             # = n tau with s = 1 + beta*(m - t) >= 0, m the mean and D the centred sum
@@ -293,55 +269,50 @@ def surrogate_quantile(
             top = z[g, :a]
             m = top.mean()
             dev = top - m
-            s2 = max((n * tg - bg * bg * float(dev @ dev)) / a, 0.0)
+            s2 = max((n * tau - bg * bg * float(dev @ dev)) / a, 0.0)
             t[g] = m + (1.0 - math.sqrt(s2)) / bg
-    return t if values.ndim == 2 else float(t[0])
+    return t
 
 
 def threshold_scored(
-    rule: ThresholdRule | Sequence[ThresholdRule],
-    z: np.ndarray,
-    d: Dataset,
-    loss: SurrogateLoss = HINGE,
+    rules: Sequence[ThresholdRule], z: np.ndarray, d: Dataset, loss: SurrogateLoss = HINGE
 ) -> ThresholdResult:
-    """Threshold, gradient weights and support for ``rule`` at the scores ``z`` of ``d``.
+    """Thresholds, gradient weights and supports of a (G, n) stack ``z`` of scores of ``d``.
 
-    A sequence of G rules of one kind takes a (G, n) stack of scores, one rule
-    per row, and thresholds every row at once; each row's result has the bits
-    of its own 1-D call.
+    Row g is thresholded by ``rules[g]``.  The rules share their kind and tau,
+    as the points of one grid cell do; only k and beta vary by row.  Every row
+    is thresholded at once, with the bits of a one-row stack of it.
     """
-    rules = [rule] if isinstance(rule, ThresholdRule) else list(rule)
-    kind = rules[0].kind
-    if any(r.kind != kind for r in rules):
-        raise ValueError("a score stack takes rules of one kind")
-    stack = z.reshape(-1, z.shape[-1])
-    if len(stack) != len(rules):
-        raise ValueError(f"{len(stack)} score rows for {len(rules)} rules")
+    kind, tau = rules[0].kind, rules[0].tau
+    if any((r.kind, r.tau) != (kind, tau) for r in rules):
+        raise ValueError("a score stack takes rules of one kind and one tau")
+    if z.ndim != 2:
+        raise ValueError(f"score shape {z.shape} is not a (G, n) stack")
+    if len(z) != len(rules):
+        raise ValueError(f"{len(z)} score rows for {len(rules)} rules")
     for r in rules:
         # every row's rule must fit the pool, which the kind alone decides
         sel = check_pool(r, d)
-    # take keeps the rows C-ordered, so their sums have the bits of 1-D sums
-    zsel = stack if sel is None else stack.take(sel, axis=1)
+    # take keeps the rows C-ordered, so their sums have the bits of one-row sums
+    zsel = z if sel is None else z.take(sel, axis=1)
     g_rows, size = zsel.shape
 
     # flat indices into the C-ordered zsel, row by row, and their weights
     if kind in TOP_K_KINDS:
-        if kind == "top_push":
-            k = [1] * g_rows
-        elif kind == "top_push_k":
+        if kind == "top_push_k":
             k = [r.k for r in rules]
         else:
-            k = [math.ceil(r.tau * size) for r in rules]
+            k = [1 if kind == "top_push" else math.ceil(tau * size)] * g_rows
         t, flat = top_k_mean(zsel, k)
         weights = np.repeat(1.0 / np.array(k), k)
     elif kind in QUANTILE_KINDS:
-        t = exact_quantile(zsel, [r.tau for r in rules])
+        t = exact_quantile(zsel, tau)
         # gradient treated as zero: t is recomputed after every step
         flat = np.flatnonzero(zsel == t[:, None])
         weights = np.zeros(flat.size)
     else:  # surrogate quantile kinds
         betas = [r.beta for r in rules]
-        t = surrogate_quantile(zsel, [r.tau for r in rules], betas, loss)
+        t = surrogate_quantile(zsel, tau, betas, loss)
         deriv = loss.deriv(np.array(betas)[:, None] * (zsel - t[:, None]))
         denom = deriv.sum(axis=1)
         if (denom <= 0.0).any():
@@ -356,9 +327,9 @@ def threshold_scored(
     if sel is not None:
         # the flat index in the stack of every pooled score; one row's are sel's
         if g_rows > 1:
-            sel = (np.arange(g_rows)[:, None] * stack.shape[1] + sel).ravel()
+            sel = (np.arange(g_rows)[:, None] * z.shape[1] + sel).ravel()
         flat = sel[flat]
-    return ThresholdResult(t=t if z.ndim == 2 else float(t[0]), support=flat, weights=weights)
+    return ThresholdResult(t=t, support=flat, weights=weights)
 
 
 def check_pool(rule: ThresholdRule, d: Dataset, parts: int = 1) -> np.ndarray | None:

@@ -114,14 +114,14 @@ def active_pattern(rule, w, d, loss):
     so finite differences across them are trustworthy.
     """
     z = scores(w, d)
-    tres = threshold_scored(rule, z, d, loss)
+    tres = threshold_scored([rule], z[None], d, loss)
     return frozenset(tres.support.tolist())
 
 
 def objective_pattern(spec, w, d):
     """Pattern for the full objective: threshold support plus loss branches."""
     z = scores(w, d)
-    tres = threshold_scored(spec.rule, z, d, spec.loss)
+    tres = threshold_scored([spec.rule], z[None], d, spec.loss)
     up = tres.t - z[d.pos_idx]
     branches = tuple((up > -1.0).tolist())
     if spec.include_fp:
@@ -191,7 +191,7 @@ def oracle_threshold_gradient(rule, z, d, loss):
         return t, xsel[local].mean(axis=0)
     if rule.kind in QUANTILE_KINDS:
         return exact_quantile(zsel, rule.tau), np.zeros(d.m)
-    t = surrogate_quantile(zsel, rule.tau, rule.beta, loss)
+    t = surrogate_quantile(zsel[None], rule.tau, [rule.beta], loss)[0]
     weights = loss.deriv(rule.beta * (zsel - t))
     return t, (weights @ xsel) / weights.sum()
 

@@ -120,8 +120,11 @@ def test_03_objective_convexity():
             w1 = rng.uniform(-1, 1, 5)
             w2 = rng.uniform(-1, 1, 5)
             lam = float(rng.uniform(0, 1))
-            mix = objective(spec, lam * w1 + (1 - lam) * w2, d)
-            bound = lam * objective(spec, w1, d) + (1 - lam) * objective(spec, w2, d)
+            mix = objective([spec], (lam * w1 + (1 - lam) * w2)[None], d)[0]
+            bound = (
+                lam * objective([spec], w1[None], d)[0]
+                + (1 - lam) * objective([spec], w2[None], d)[0]
+            )
             worst = max(worst, mix - bound)
     elapsed = time.perf_counter() - tic
     verdict(
@@ -158,8 +161,8 @@ def test_04_zero_minimum_conditions():
                 lhs = np.sort(z)[::-1][: math.ceil(d.n * tau)].mean()
             if lhs >= pos_mean:
                 conditioned[kind] += 1
-                f0 = objective(spec, np.zeros(d.m), d)
-                if f0 > objective(spec, w, d) + 1e-12:
+                f0 = objective([spec], np.zeros((1, d.m)), d)[0]
+                if f0 > objective([spec], w[None], d)[0] + 1e-12:
                     violations += 1
     # corollary: enough positives make zero unconditionally optimal for the
     # all-samples top mean
@@ -171,8 +174,8 @@ def test_04_zero_minimum_conditions():
             continue
         filled += 1
         w = rng.uniform(-2, 2, d.m)
-        f0 = objective(spec, np.zeros(d.m), d)
-        if f0 > objective(spec, w, d) + 1e-12:
+        f0 = objective([spec], np.zeros((1, d.m)), d)[0]
+        if f0 > objective([spec], w[None], d)[0] + 1e-12:
             violations += 1
     elapsed = time.perf_counter() - tic
     min_cond = min(conditioned.values())
@@ -204,7 +207,7 @@ def test_05_surrogate_quantile_escapes_zero():
             (1 - tau) / (z_max - zbar) if z_max > zbar else np.inf,
         )
         spec = make_spec("surrogate_quantile", tau=tau, beta=beta)
-        if objective(spec, w, d) < objective(spec, np.zeros(d.m), d):
+        if objective([spec], w[None], d)[0] < objective([spec], np.zeros((1, d.m)), d)[0]:
             wins += 1
     verdict(5, "constructed scaling beats the zero weights", wins == 100, f"{wins}/100")
 
@@ -221,7 +224,9 @@ def test_06_threshold_orderings():
         beta = float(10.0 ** rng.uniform(-1.5, 0.5))
         w = rng.uniform(-1, 1, d.m)
         t = {
-            kind: threshold_scored(make_rule(kind, k=k, tau=tau, beta=beta), scores(w, d), d).t
+            kind: threshold_scored(
+                [make_rule(kind, k=k, tau=tau, beta=beta)], scores(w, d)[None], d
+            ).t[0]
             for kind in (
                 "top_push",
                 "top_push_k",
@@ -271,8 +276,8 @@ def test_07_gradient_oracle():
                 if not is_stable(lambda v: objective_pattern(spec, v, d), w, h):
                     continue
                 found += 1
-                g = evaluate(spec, w, d)[1]
-                fd = central_diff(lambda v: objective(spec, v, d), w, h)
+                g = evaluate([spec], w[None], d)[1][0]
+                fd = central_diff(lambda v: objective([spec], v[None], d)[0], w, h)
                 if np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g)):
                     matched += 1
             stable_total += found
@@ -319,11 +324,11 @@ def test_09_surrogate_quantile_solver():
         values = rng.normal(scale=float(rng.uniform(0.1, 5.0)), size=n)
         tau = float(rng.uniform(0.05, 0.95))
         beta = float(10.0 ** rng.uniform(-2, 1))
-        t = surrogate_quantile(values, tau, beta, HINGE)
+        t = surrogate_quantile(values[None], tau, [beta], HINGE)[0]
         residual = abs(float(np.mean(HINGE.value(beta * (values - t)))) - tau)
         worst = max(worst, residual / max(1.0, tau))
     tau, beta = 0.2, 0.1
-    closed = surrogate_quantile(np.zeros(64), tau, beta) == (1.0 - tau) / beta
+    closed = surrogate_quantile(np.zeros((1, 64)), tau, [beta])[0] == (1.0 - tau) / beta
     verdict(
         9,
         "surrogate quantile residuals and zero-score closed form",

@@ -384,6 +384,7 @@ class TestGrid:
             "error: dataset 'big', method toppush, grid point lambda=0: "
             "objective became non-finite at iteration 0 (value inf)"
         ) in err
+        assert not (tmp_path / "g").exists()
 
     def test_invalid_manifest_json_is_usage_error(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.json"

@@ -55,21 +55,21 @@ class TestObjectiveValues:
         d = synth_example(2000, seed=0)
         w1, w2 = np.zeros(2), np.array([1.0, 0.0])
         spec = make_spec("top_push")
-        assert objective(spec, w1, d) == 1.0
-        assert objective(spec, w2, d) == pytest.approx(2.5, abs=0.1)
+        assert objective([spec], w1[None], d)[0] == 1.0
+        assert objective([spec], w2[None], d)[0] == pytest.approx(2.5, abs=0.1)
 
     def test_patmat_closed_form(self):
         d = synth_example(2000, seed=1)
         tau, beta = 0.05, 0.01
         spec = make_spec("surrogate_quantile", tau=tau, beta=beta)
-        f = objective(spec, np.array([1.0, 0.0]), d)
+        f = objective([spec], np.array([[1.0, 0.0]]), d)[0]
         assert f == pytest.approx(0.5 + (1 - tau) / beta, abs=0.1)
 
     def test_regularizer_term(self):
         d = random_dataset(np.random.default_rng(1))
         w = np.ones(d.m)
-        base = objective(make_spec("top_push"), w, d)
-        reg = objective(make_spec("top_push", lam=0.2), w, d)
+        base = objective([make_spec("top_push")], w[None], d)[0]
+        reg = objective([make_spec("top_push", lam=0.2)], w[None], d)[0]
         assert reg == pytest.approx(base + 0.1 * d.m, rel=1e-12)
 
 
@@ -79,14 +79,14 @@ class TestGradient:
         d = Dataset(np.array([[10.0], [0.0]]), [True, False])
         spec = make_spec("top_push", lam=0.5)
         w = np.array([1.0])
-        np.testing.assert_allclose(evaluate(spec, w, d)[1], 0.5 * w)
+        np.testing.assert_allclose(evaluate([spec], w[None], d)[1][0], 0.5 * w)
 
     def test_hand_expanded_top_push_at_zero(self):
         rng = np.random.default_rng(2)
         features = rng.standard_normal((6, 3))
         labels = np.array([True] * 5 + [False])
         d = Dataset(features, labels)
-        g = evaluate(make_spec("top_push"), np.zeros(3), d)[1]
+        g = evaluate([make_spec("top_push")], np.zeros((1, 3)), d)[1][0]
         x_neg = features[5]
         expected = (x_neg - features[:5]).mean(axis=0)
         np.testing.assert_allclose(g, expected, atol=1e-12)
@@ -105,8 +105,8 @@ class TestGradient:
             if not is_stable(lambda v: objective_pattern(spec, v, d), w, h):
                 continue
             stable += 1
-            g = evaluate(spec, w, d)[1]
-            fd = central_diff(lambda v: objective(spec, v, d), w, h)
+            g = evaluate([spec], w[None], d)[1][0]
+            fd = central_diff(lambda v: objective([spec], v[None], d)[0], w, h)
             if np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g)):
                 matched += 1
         assert stable == 40
@@ -117,10 +117,10 @@ class TestGradient:
         d = random_dataset(rng)
         spec = make_spec("surrogate_quantile", tau=0.3, beta=0.5, lam=0.05)
         w = rng.uniform(-1, 1, d.m)
-        value, grad, tres = evaluate(spec, w, d)
-        assert value == objective(spec, w, d)
-        np.testing.assert_array_equal(grad, evaluate(spec, w, d)[1])
-        assert tres.t == threshold_scored(spec.rule, scores(w, d), d).t
+        value, grad, tres = evaluate([spec], w[None], d)
+        assert value == objective([spec], w[None], d)
+        np.testing.assert_array_equal(grad, evaluate([spec], w[None], d)[1])
+        assert tres.t == threshold_scored([spec.rule], scores(w[None], d), d).t
 
 
 class TestConvexityOfObjective:
@@ -133,8 +133,11 @@ class TestConvexityOfObjective:
             w1 = rng.uniform(-1, 1, d.m)
             w2 = rng.uniform(-1, 1, d.m)
             lam = float(rng.uniform(0, 1))
-            mix = objective(spec, lam * w1 + (1 - lam) * w2, d)
-            bound = lam * objective(spec, w1, d) + (1 - lam) * objective(spec, w2, d)
+            mix = objective([spec], (lam * w1 + (1 - lam) * w2)[None], d)[0]
+            bound = (
+                lam * objective([spec], w1[None], d)[0]
+                + (1 - lam) * objective([spec], w2[None], d)[0]
+            )
             assert mix <= bound + 1e-9
 
 
@@ -147,11 +150,12 @@ class TestZeroMinimumConditions:
         for _ in range(300):
             d = random_dataset(rng)
             w = rng.uniform(-1, 1, d.m)
-            t = threshold_scored(spec.rule, scores(w, d), d).t
+            t = threshold_scored([spec.rule], scores(w, d)[None], d).t[0]
             pos_mean = scores(w, d)[d.pos_idx].mean()
             if t >= pos_mean:
                 conditioned += 1
-                assert objective(spec, np.zeros(d.m), d) <= objective(spec, w, d) + 1e-12
+                f0 = objective([spec], np.zeros((1, d.m)), d)[0]
+                assert f0 <= objective([spec], w[None], d)[0] + 1e-12
         assert conditioned > 100
 
     def test_top_mean_unconditional_when_positives_fill_quantile(self):
@@ -164,7 +168,8 @@ class TestZeroMinimumConditions:
             if d.n_pos < math.ceil(d.n * 0.3):
                 continue
             w = rng.uniform(-2, 2, d.m)
-            assert objective(spec, np.zeros(d.m), d) <= objective(spec, w, d) + 1e-12
+            f0 = objective([spec], np.zeros((1, d.m)), d)[0]
+            assert f0 <= objective([spec], w[None], d)[0] + 1e-12
 
     @pytest.mark.parametrize("kind", TOP_K_KINDS)
     def test_score_mean_implications(self, kind):
@@ -190,7 +195,8 @@ class TestZeroMinimumConditions:
                 lhs = np.sort(z)[::-1][: math.ceil(d.n * tau)].mean()
             if lhs >= pos_mean:
                 conditioned += 1
-                assert objective(spec, np.zeros(d.m), d) <= objective(spec, w, d) + 1e-12
+                f0 = objective([spec], np.zeros((1, d.m)), d)[0]
+                assert f0 <= objective([spec], w[None], d)[0] + 1e-12
         assert conditioned > 100
 
 
@@ -221,7 +227,7 @@ class TestSurrogateQuantileEscapesZero:
             pool = z if kind == "surrogate_quantile" else z[d.neg_idx]
             beta = constructed_beta(z, float(pool.mean()), tau)
             spec = make_spec(kind, tau=tau, beta=beta)
-            assert objective(spec, w, d) < objective(spec, np.zeros(d.m), d)
+            assert objective([spec], w[None], d)[0] < objective([spec], np.zeros((1, d.m)), d)[0]
 
 
 ALL_KINDS = CONVEX_KINDS + ["quantile", "quantile_np"]
@@ -240,6 +246,6 @@ class TestGradientOracle:
         for _ in range(30):
             d = random_dataset(rng, n=int(rng.integers(30, 90)), m=4, pos_frac=rng.uniform(0.25, 0.75))
             w = rng.uniform(-2.0, 2.0, d.m)
-            _, grad, _ = evaluate(spec, w, d)
+            _, (grad,), _ = evaluate([spec], w[None], d)
             want = oracle_gradient(spec, w, d)
             assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)

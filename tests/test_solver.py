@@ -156,7 +156,8 @@ class TestTrain:
         d = random_dataset(np.random.default_rng(3), n=40)
         cfg = TrainConfig(iterations=30, n_minibatch=2, seed=1)
         model = train(toppush_spec(), d, cfg)
-        assert model.t_final == threshold_scored(model.spec.rule, scores(model.w, d), d).t
+        refit = threshold_scored([model.spec.rule], scores(model.w[None], d), d)
+        assert model.t_final == refit.t[0]
 
     def test_exact_iteration_count(self):
         d = random_dataset(np.random.default_rng(4))
@@ -197,8 +198,8 @@ class TestTrain:
         chunk = minibatch_epoch(d, 4, seed=2, epoch=0)[1]
         spec = ObjectiveSpec(rule=ThresholdRule("top_push_k", k=2), lam=0.01)
         w = rng.uniform(-1, 1, 3)
-        fd = central_diff(lambda v: objective(spec, v, chunk), w)
-        np.testing.assert_allclose(evaluate(spec, w, chunk)[1], fd, atol=1e-5)
+        fd = central_diff(lambda v: objective([spec], v[None], chunk)[0], w)
+        np.testing.assert_allclose(evaluate([spec], w[None], chunk)[1][0], fd, atol=1e-5)
 
     def test_non_finite_objective_aborts(self):
         d = Dataset(np.array([[-1e200], [1e200]]), [True, False])
@@ -340,6 +341,9 @@ class TestLockstep:
 
     def test_mixed_rule_kinds_rejected(self):
         d = random_dataset(np.random.default_rng(20), n=30)
-        specs = [toppush_spec(), ObjectiveSpec(rule=ThresholdRule("quantile", tau=0.5))]
-        with pytest.raises(ValueError, match="rules of one kind"):
-            train(specs, d, TrainConfig(iterations=2))
+        for specs in (
+            [toppush_spec(), ObjectiveSpec(rule=ThresholdRule("quantile", tau=0.5))],
+            [ObjectiveSpec(rule=rule_from_token("grill", tau=tau)) for tau in (0.1, 0.2)],
+        ):
+            with pytest.raises(ValueError, match="rules of one kind"):
+                train(specs, d, TrainConfig(iterations=2))

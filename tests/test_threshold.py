@@ -15,6 +15,7 @@ from helpers import (
     tied_integer_dataset,
 )
 from topclf.data import Dataset, synth_example
+from topclf.objective import ObjectiveSpec, evaluate
 from topclf.surrogate import HINGE, QUADRATIC_HINGE
 from topclf.threshold import (
     NEGATIVE_KINDS,
@@ -76,22 +77,22 @@ class TestScores:
 
 class TestTopKMean:
     def test_mean_of_two_largest(self):
-        mean, support = top_k_mean(np.array([0.5, 2.0, 1.0]), 2)
+        (mean,), support = top_k_mean(np.array([[0.5, 2.0, 1.0]]), [2])
         assert mean == 1.5
         assert sorted(support.tolist()) == [1, 2]
 
     def test_k_one_is_max(self):
-        mean, support = top_k_mean(np.array([0.5, 2.0, 1.0]), 1)
+        (mean,), support = top_k_mean(np.array([[0.5, 2.0, 1.0]]), [1])
         assert mean == 2.0 and support.tolist() == [1]
 
     def test_ties_take_lowest_indices(self):
-        mean, support = top_k_mean(np.array([1.0, 1.0, 1.0]), 2)
+        (mean,), support = top_k_mean(np.array([[1.0, 1.0, 1.0]]), [2])
         assert mean == 1.0
         assert support.tolist() == [0, 1]
 
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k must be"):
-            top_k_mean(np.array([1.0]), 2)
+            top_k_mean(np.array([[1.0]]), [2])
 
 
 class TestExactQuantile:
@@ -123,12 +124,12 @@ class TestExactQuantile:
 
 class TestSurrogateQuantile:
     def test_zero_scores_closed_form(self):
-        t = surrogate_quantile(np.zeros(50), tau=0.2, beta=0.1)
+        t = surrogate_quantile(np.zeros((1, 50)), tau=0.2, beta=[0.1])[0]
         assert t == (1.0 - 0.2) / 0.1
         assert t == 8.0
 
     def test_zero_scores_unit_beta(self):
-        assert surrogate_quantile(np.zeros(10), tau=0.5, beta=1.0) == 0.5
+        assert surrogate_quantile(np.zeros((1, 10)), tau=0.5, beta=[1.0])[0] == 0.5
 
     def test_two_point_case_vs_grid_search(self):
         values = np.array([1.0, -1.0])
@@ -137,7 +138,7 @@ class TestSurrogateQuantile:
             return np.mean(np.maximum(0.0, 1.0 + (values - t))) - 0.5
 
         oracle = grid_solve(residual, -3.0, 3.0)
-        t = surrogate_quantile(values, tau=0.5, beta=1.0)
+        t = surrogate_quantile(values[None], tau=0.5, beta=[1.0])[0]
         assert abs(t - 1.0) < 1e-8
         assert abs(t - oracle) < 1e-6
 
@@ -149,7 +150,7 @@ class TestSurrogateQuantile:
             values = rng.normal(scale=rng.uniform(0.1, 5.0), size=n)
             tau = float(rng.uniform(0.05, 0.95))
             beta = float(10.0 ** rng.uniform(-2, 1))
-            t = surrogate_quantile(values, tau, beta, loss)
+            t = surrogate_quantile(values[None], tau, [beta], loss)[0]
             residual = np.mean(loss.value(beta * (values - t))) - tau
             assert abs(residual) <= 1e-10 * max(1.0, tau)
 
@@ -173,7 +174,7 @@ class TestSurrogateQuantile:
             (rng.normal(size=100), 0.1, 10.0, None),
         ]
         for values, tau, beta, active in cases:
-            t = surrogate_quantile(values, tau, beta, loss)
+            t = surrogate_quantile(values[None], tau, [beta], loss)[0]
             oracle = oracle_surrogate_quantile(values, tau, beta, loss)
             assert abs(t - oracle) <= 1e-9 * max(1.0, abs(oracle))
             if active is not None:
@@ -182,21 +183,21 @@ class TestSurrogateQuantile:
     def test_quadratic_scan_ignores_score_offset(self):
         values = np.random.default_rng(17).normal(size=2000)
         for tau, beta in ((0.05, 1.0), (0.01, 10.0)):
-            t = surrogate_quantile(values, tau, beta, QUADRATIC_HINGE)
-            shifted = surrogate_quantile(values + 1e8, tau, beta, QUADRATIC_HINGE)
+            t = surrogate_quantile(values[None], tau, [beta], QUADRATIC_HINGE)[0]
+            shifted = surrogate_quantile((values + 1e8)[None], tau, [beta], QUADRATIC_HINGE)[0]
             assert abs(shifted - 1e8 - t) <= 1e-6
 
     def test_solution_unique_and_monotone_in_tau(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=30)
-        ts = [surrogate_quantile(values, tau, 0.5) for tau in (0.1, 0.3, 0.5, 0.7)]
+        ts = [surrogate_quantile(values[None], tau, [0.5])[0] for tau in (0.1, 0.3, 0.5, 0.7)]
         assert all(a > b for a, b in zip(ts, ts[1:]))
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            surrogate_quantile(np.ones(3), tau=0.0, beta=1.0)
+            surrogate_quantile(np.ones((1, 3)), tau=0.0, beta=[1.0])
         with pytest.raises(ValueError):
-            surrogate_quantile(np.ones(3), tau=0.5, beta=0.0)
+            surrogate_quantile(np.ones((1, 3)), tau=0.5, beta=[0.0])
 
 
 class TestRuleValidation:
@@ -205,8 +206,8 @@ class TestRuleValidation:
         for _ in range(20):
             d = random_dataset(rng)
             w = rng.uniform(-1, 1, d.m)
-            a = threshold_scored(ThresholdRule("top_push"), scores(w, d), d)
-            b = threshold_scored(ThresholdRule("top_push_k", k=1), scores(w, d), d)
+            a = threshold_scored([ThresholdRule("top_push")], scores(w, d)[None], d)
+            b = threshold_scored([ThresholdRule("top_push_k", k=1)], scores(w, d)[None], d)
             assert a.t == b.t
             assert np.array_equal(a.support, b.support)
 
@@ -230,14 +231,14 @@ class TestRuleValidation:
 class TestDispatch:
     def test_top_push_finds_outlier(self):
         d = synth_example(500, seed=2)
-        res = threshold_scored(ThresholdRule("top_push"), scores(np.array([1.0, 0.0]), d), d)
+        res = threshold_scored([ThresholdRule("top_push")], scores(np.array([[1.0, 0.0]]), d), d)
         assert res.t == 2.0
         assert d.features[res.support[0]].tolist() == [2.0, 0.0]
 
     def test_surrogate_quantile_at_zero_weights(self):
         d = random_dataset(np.random.default_rng(1), n=40, m=3)
         rule = ThresholdRule("surrogate_quantile", tau=0.25, beta=0.5)
-        res = threshold_scored(rule, scores(np.zeros(3), d), d)
+        res = threshold_scored([rule], scores(np.zeros((1, 3)), d), d)
         assert res.t == pytest.approx((1 - 0.25) / 0.5, abs=1e-12)
         grad_t = res.weights @ d.features[res.support]
         np.testing.assert_allclose(grad_t, d.features.mean(axis=0))
@@ -246,7 +247,7 @@ class TestDispatch:
         features = np.array([[3.0], [1.0], [2.0], [9.0]])
         labels = np.array([False, False, False, True])
         d = Dataset(features, labels)
-        res = threshold_scored(ThresholdRule("top_push_k", k=2), scores(np.array([1.0]), d), d)
+        res = threshold_scored([ThresholdRule("top_push_k", k=2)], scores(np.array([[1.0]]), d), d)
         assert res.t == 2.5
         grad_t = res.weights @ d.features[res.support]
         np.testing.assert_allclose(grad_t, [(3.0 + 2.0) / 2])
@@ -254,7 +255,7 @@ class TestDispatch:
     def test_quantile_gradient_is_zero(self):
         d = random_dataset(np.random.default_rng(2))
         for kind in ("quantile", "quantile_np"):
-            res = threshold_scored(make_rule(kind), scores(np.ones(d.m), d), d)
+            res = threshold_scored([make_rule(kind)], scores(np.ones((1, d.m)), d), d)
             assert np.all(res.weights @ d.features[res.support] == 0.0)
             assert res.support.size >= 1
 
@@ -262,14 +263,16 @@ class TestDispatch:
         features = np.array([[100.0], [0.0], [1.0], [2.0]])
         labels = np.array([True, False, False, False])
         d = Dataset(features, labels)
-        res = threshold_scored(ThresholdRule("top_mean_np", tau=0.5), scores(np.array([1.0]), d), d)
+        rule = ThresholdRule("top_mean_np", tau=0.5)
+        res = threshold_scored([rule], scores(np.array([[1.0]]), d), d)
         # ceil(3 * 0.5) = 2 largest negative scores: 2 and 1
         assert res.t == 1.5
 
     def test_k_exceeding_negatives(self):
         d = random_dataset(np.random.default_rng(3), n=10)
         with pytest.raises(ValueError, match="exceeds"):
-            threshold_scored(ThresholdRule("top_push_k", k=d.n_neg + 1), scores(np.ones(d.m), d), d)
+            rule = ThresholdRule("top_push_k", k=d.n_neg + 1)
+            threshold_scored([rule], scores(np.ones((1, d.m)), d), d)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_check_pool_reads_the_smallest_minibatch_pool(self, parts):
@@ -283,7 +286,7 @@ class TestDispatch:
     def test_tau_pool_too_small(self):
         d = random_dataset(np.random.default_rng(4), n=12)
         with pytest.raises(ValueError, match="tau"):
-            threshold_scored(ThresholdRule("top_mean", tau=0.01), scores(np.ones(d.m), d), d)
+            threshold_scored([ThresholdRule("top_mean", tau=0.01)], scores(np.ones((1, d.m)), d), d)
 
 
 class TestConvexityAndScaling:
@@ -296,9 +299,9 @@ class TestConvexityAndScaling:
             w1 = rng.uniform(-1, 1, d.m)
             w2 = rng.uniform(-1, 1, d.m)
             lam = float(rng.uniform(0, 1))
-            mix = threshold_scored(rule, scores(lam * w1 + (1 - lam) * w2, d), d).t
-            t1 = threshold_scored(rule, scores(w1, d), d).t
-            t2 = threshold_scored(rule, scores(w2, d), d).t
+            mix = threshold_scored([rule], scores(lam * w1 + (1 - lam) * w2, d)[None], d).t[0]
+            t1 = threshold_scored([rule], scores(w1, d)[None], d).t[0]
+            t2 = threshold_scored([rule], scores(w2, d)[None], d).t[0]
             bound = lam * t1 + (1 - lam) * t2
             assert mix <= bound + 1e-9
 
@@ -312,8 +315,8 @@ class TestConvexityAndScaling:
             d = random_dataset(rng)
             w = rng.uniform(-1, 1, d.m)
             c = float(rng.uniform(0.1, 5.0))
-            t1 = threshold_scored(rule, scores(w, d), d).t
-            tc = threshold_scored(rule, scores(c * w, d), d).t
+            t1 = threshold_scored([rule], scores(w, d)[None], d).t[0]
+            tc = threshold_scored([rule], scores(c * w, d)[None], d).t[0]
             assert tc == pytest.approx(c * t1, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["quantile", "quantile_np"])
@@ -326,8 +329,8 @@ class TestConvexityAndScaling:
             L = float(np.linalg.norm(d.features[pool], axis=1).max())
             w1 = rng.uniform(-2, 2, d.m)
             w2 = rng.uniform(-2, 2, d.m)
-            t1 = threshold_scored(rule, scores(w1, d), d).t
-            t2 = threshold_scored(rule, scores(w2, d), d).t
+            t1 = threshold_scored([rule], scores(w1, d)[None], d).t[0]
+            t2 = threshold_scored([rule], scores(w2, d)[None], d).t[0]
             dt = abs(t1 - t2)
             assert dt <= L * np.linalg.norm(w1 - w2) + 1e-12
 
@@ -344,7 +347,8 @@ def all_thresholds(w, d, k, tau, beta):
         "top_mean",
         "top_mean_np",
     ):
-        out[kind] = threshold_scored(make_rule(kind, k=k, tau=tau, beta=beta), scores(w, d), d).t
+        rule = make_rule(kind, k=k, tau=tau, beta=beta)
+        out[kind] = threshold_scored([rule], scores(w, d)[None], d).t[0]
     return out
 
 
@@ -399,8 +403,8 @@ class TestOrderings:
         d = Dataset(features, labels)
         w = np.array([1.0])
         tau = 0.3
-        t_q = threshold_scored(make_rule("quantile", tau=tau), scores(w, d), d).t
-        t_np = threshold_scored(make_rule("quantile_np", tau=tau), scores(w, d), d).t
+        t_q = threshold_scored([make_rule("quantile", tau=tau)], scores(w, d)[None], d).t[0]
+        t_np = threshold_scored([make_rule("quantile_np", tau=tau)], scores(w, d)[None], d).t[0]
         z = scores(w, d)
         zp = np.sort(z[d.pos_idx])[::-1]
         zn = np.sort(z[d.neg_idx])[::-1]
@@ -425,9 +429,11 @@ class TestThresholdGradient:
             if not is_stable(lambda v: active_pattern(rule, v, d, loss), w, h):
                 continue
             stable_checked += 1
-            res = threshold_scored(rule, scores(w, d), d, loss)
+            res = threshold_scored([rule], scores(w, d)[None], d, loss)
             grad = res.weights @ d.features[res.support]
-            fd = central_diff(lambda v: threshold_scored(rule, scores(v, d), d, loss).t, w, h)
+            fd = central_diff(
+                lambda v: threshold_scored([rule], scores(v, d)[None], d, loss).t[0], w, h
+            )
             if np.linalg.norm(fd - grad) <= 1e-4 * max(1.0, np.linalg.norm(grad)):
                 matched += 1
         assert stable_checked == 40
@@ -437,7 +443,7 @@ class TestThresholdGradient:
         rng = np.random.default_rng(43)
         d = random_dataset(rng, n=25, m=3)
         z = scores(rng.uniform(-1, 1, 3), d)
-        res = threshold_scored(ThresholdRule("top_push_k", k=3), z, d)
+        res = threshold_scored([ThresholdRule("top_push_k", k=3)], z[None], d)
         grad_t = res.weights @ d.features[res.support]
         np.testing.assert_allclose(grad_t, d.features[res.support].mean(axis=0))
 
@@ -473,7 +479,7 @@ class TestTopKMeanOracle:
             values = np.where(rng.random(n) < 0.5, -values, values)
             for k in range(1, n + 1):
                 seen[self.tie_position(values, k)] += 1
-                mean, support = top_k_mean(values, k)
+                (mean,), support = top_k_mean(values[None], [k])
                 want_mean, want_support = oracle_top_k_mean(values, k)
                 assert np.float64(mean).tobytes() == np.float64(want_mean).tobytes()
                 assert support.dtype == want_support.dtype
@@ -487,7 +493,7 @@ class TestTopKMeanOracle:
         for _ in range(40):
             d = tied_scores_dataset(rng, n=int(rng.integers(12, 60)))
             z = d.features[:, 0].copy()
-            res = threshold_scored(rule, z, d)
+            res = threshold_scored([rule], z[None], d)
             sel = d.neg_idx if kind in NEGATIVE_KINDS else np.arange(d.n)
             k = {"top_push": 1, "top_push_k": 3}.get(kind, math.ceil(0.3 * sel.size))
             want_t, local = oracle_top_k_mean(z[sel], k)
@@ -508,7 +514,7 @@ class TestScoreStack:
         w = rng.integers(-4, 5, (5, d.m)) / 4.0
         params = {
             "k": [1, 2, 3, 5, 8],
-            "tau": [0.1, 0.2, 0.2, 0.5, 0.9],
+            "tau": [0.2] * 5,
             "beta": [0.1, 1.0, 1.0, 3.0, 10.0],
         }
         _, takes, _ = RULES[kind]
@@ -517,9 +523,9 @@ class TestScoreStack:
         stacked = threshold_scored(rules, z, d, loss)
         assert stacked.t.shape == (5,)
         for g, (rule, zg) in enumerate(zip(rules, z)):
-            alone = threshold_scored(rule, zg, d, loss)
+            alone = threshold_scored([rule], zg[None], d, loss)
             mine = stacked.support // d.n == g
-            assert stacked.t[g] == alone.t
+            assert stacked.t[g] == alone.t[0]
             assert np.array_equal(stacked.support[mine] - g * d.n, alone.support)
             assert np.array_equal(stacked.weights[mine], alone.weights)
 
@@ -528,3 +534,7 @@ class TestScoreStack:
         z = scores(np.ones((3, d.m)), d)
         with pytest.raises(ValueError, match="3 score rows for 2 rules"):
             threshold_scored([ThresholdRule("top_push")] * 2, z, d)
+        with pytest.raises(ValueError, match=rf"score shape \({d.n},\)"):
+            threshold_scored([ThresholdRule("top_push")], z[0], d)
+        with pytest.raises(ValueError, match=rf"weight shape \({d.m},\)"):
+            evaluate([ObjectiveSpec(ThresholdRule("top_push"))], np.ones(d.m), d)
