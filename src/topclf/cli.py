@@ -1,4 +1,4 @@
-"""Command-line interface: train, eval, curve, grid, synth, reproduce.
+"""Command-line interface: train, eval, grid, synth, reproduce.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -19,7 +19,7 @@ from .experiment import ManifestError, reproduce_worked_example, run_manifest
 from .objective import ObjectiveSpec
 from .solver import Model, TrainConfig, train
 from .surrogate import make_loss
-from .threshold import CLI_TOKENS, method_params, rule_from_token
+from .threshold import CLI_TOKENS, ThresholdRule, method_params
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -37,12 +37,22 @@ def _dataset_entry(args) -> dict:
     return entry
 
 
+def _out_dir(args, parser) -> Path:
+    """``--out`` as a Path; a usage error if it or a parent exists and is not a directory."""
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            parser.error(f"--out {out}: {path} exists and is not a directory")
+    return out
+
+
 def cmd_train(args, parser) -> int:
+    out = _out_dir(args, parser)
     missing = [f"--{name}" for name in method_params(args.method) if getattr(args, name) is None]
     if missing:
         parser.error(f"method {args.method} requires {', '.join(missing)}")
     try:
-        rule = rule_from_token(args.method, k=args.k, tau=args.tau, beta=args.beta)
+        rule = ThresholdRule(kind=CLI_TOKENS[args.method], k=args.k, tau=args.tau, beta=args.beta)
         spec = ObjectiveSpec(rule=rule, loss=make_loss(args.loss), lam=args.lam)
         cfg = TrainConfig(
             iterations=args.iters,
@@ -55,7 +65,6 @@ def cmd_train(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     model = train(spec, load_dataset(_dataset_entry(args)), cfg)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = model.to_dict()
     doc["version"] = __version__
@@ -79,7 +88,8 @@ def _parse_taus(text: str) -> list[float]:
     return taus
 
 
-def cmd_eval(args, parser, curves_only: bool = False) -> int:
+def cmd_eval(args, parser) -> int:
+    out = _out_dir(args, parser)
     model = Model.from_dict(json.loads(Path(args.model).read_text()))
     dataset = load_dataset(_dataset_entry(args))
     if args.format == "libsvm" and dataset.m < model.w.shape[0]:
@@ -87,19 +97,13 @@ def cmd_eval(args, parser, curves_only: bool = False) -> int:
         features = np.pad(dataset.features, ((0, 0), (0, model.w.shape[0] - dataset.m)))
         dataset = Dataset(features, dataset.labels)
     if dataset.m != model.w.shape[0]:
-        raise ValueError(
-            f"model expects {model.w.shape[0]} features, dataset has {dataset.m}"
-        )
+        raise ValueError(f"model expects {model.w.shape[0]} features, dataset has {dataset.m}")
     report = build_report(model.w, model.t_final, dataset, args.taus)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(report.pr_curve, out / "pr_curve.csv", ("recall", "precision"))
     write_curve_csv(report.ptau_curve, out / "ptau_curve.csv", ("tau", "precision"))
-    if not curves_only:
-        write_json(out / "report.json", report.to_dict())
-        print(f"wrote {out / 'report.json'}")
-    else:
-        print(f"wrote {out / 'pr_curve.csv'}")
+    write_json(out / "report.json", report.to_dict())
+    print(f"wrote {out / 'report.json'}")
     return 0
 
 
@@ -133,6 +137,7 @@ def cmd_reproduce(args, parser) -> int:
 
 
 def cmd_grid(args, parser) -> int:
+    _out_dir(args, parser)
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except json.JSONDecodeError as exc:
@@ -171,17 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output directory")
 
-    for name, help_text in (
-        ("eval", "evaluate a trained model"),
-        ("curve", "emit PR and P-tau curve CSVs"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", required=True, help="model.json from train")
-        _add_data_args(p)
-        p.add_argument(
-            "--taus", type=_parse_taus, default="0.01,0.03", help="comma-separated quantiles"
-        )
-        p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("eval", help="evaluate a trained model")
+    p.add_argument("--model", required=True, help="model.json from train")
+    _add_data_args(p)
+    p.add_argument(
+        "--taus", type=_parse_taus, default="0.01,0.03", help="comma-separated quantiles"
+    )
+    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate the planted-outlier dataset")
     p.add_argument("--n", type=int, required=True)
@@ -209,7 +210,6 @@ def main(argv=None) -> int:
     handlers = {
         "train": cmd_train,
         "eval": cmd_eval,
-        "curve": lambda a, p: cmd_eval(a, p, curves_only=True),
         "synth": cmd_synth,
         "reproduce": cmd_reproduce,
         "grid": cmd_grid,

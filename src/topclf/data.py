@@ -314,10 +314,9 @@ def load_libsvm(path) -> Dataset:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed token {tok!r}") from exc
                 if idx <= prev:
-                    raise ValueError(
-                        f"{path}:{lineno}: indices must be strictly increasing "
-                        f"(index {idx} after {prev})"
-                    )
+                    rule = "strictly increasing" if prev else "1-based"
+                    where = f"index {idx} after {prev}" if prev else f"index {idx}"
+                    raise ValueError(f"{path}:{lineno}: indices must be {rule} ({where})")
                 if not math.isfinite(val):
                     raise ValueError(f"{path}:{lineno}: non-finite value in {tok!r}")
                 rows.append(len(labels) - 1)

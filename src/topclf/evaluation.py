@@ -137,15 +137,12 @@ def criterion(kind: str, z: np.ndarray, d: Dataset, tau: float | None = None) ->
     check_criterion(kind, tau)
     if d.n_pos == 0:
         raise ValueError("criterion undefined without positive samples")
+    if kind != "positives_at_quantile" and d.n_neg == 0:
+        raise ValueError(f"{kind} undefined without negative samples")
     if kind == "positives_at_top":
-        if d.n_neg == 0:
-            raise ValueError("positives_at_top undefined without negative samples")
         t = float(z[d.neg_idx].max())
     else:
-        pool = z if kind == "positives_at_quantile" else z[d.neg_idx]
-        if pool.size == 0:
-            raise ValueError(f"{kind} undefined without negative samples")
-        t = exact_quantile(pool, tau)
+        t = exact_quantile(z if kind == "positives_at_quantile" else z[d.neg_idx], tau)
     return int(np.count_nonzero(z[d.pos_idx] >= t)) / d.n_pos
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import operator
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -161,14 +163,6 @@ def _run_cell(task) -> list[RunRecord]:
     ]
 
 
-def _cells(records: list[RunRecord]) -> dict[tuple[str, str], list[RunRecord]]:
-    """The records of each (method, dataset) cell, cells in first-seen order."""
-    cells: dict[tuple[str, str], list[RunRecord]] = {}
-    for rec in records:
-        cells.setdefault((rec.method, rec.dataset), []).append(rec)
-    return cells
-
-
 def grid_search(
     tasks: list[tuple], splits: dict, cfg: TrainConfig, select: SelectCriterion,
     criteria_taus: list[float], jobs: int,
@@ -207,7 +201,9 @@ def zero_audit(records: list[RunRecord]) -> list[dict]:
     ``params``, where :func:`grid_points` puts it.
     """
     rows = []
-    for (method, dataset), recs in sorted(_cells(records).items()):
+    cell = operator.attrgetter("method", "dataset")
+    for (method, dataset), group in itertools.groupby(sorted(records, key=cell), key=cell):
+        recs = list(group)
         successes = [r for r in recs if r.f_final < r.f_zero]
         if len(successes) == len(recs):
             outcome = "all"
@@ -447,13 +443,13 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
         except ValueError as exc:
             raise ManifestError(f"dataset {name!r}: {exc}") from None
         for specs, points in plan:
-            for spec in specs:
-                try:
-                    check_minibatches(parts[0], cfg.n_minibatch)
+            try:
+                check_minibatches(parts[0], cfg.n_minibatch)
+                for spec in specs:
                     check_pool(spec.rule, parts[0], cfg.n_minibatch)
-                except ValueError as exc:
-                    where = f"dataset {name!r}, method {method_id(spec)}, training split ({within})"
-                    raise ManifestError(f"{where}: {exc}") from None
+            except ValueError as exc:
+                where = f"dataset {name!r}, method {method_id(specs[0])}, training split ({within})"
+                raise ManifestError(f"{where}: {exc}") from None
             tasks.append((name, specs, points))
     winners, all_records = grid_search(tasks, splits, cfg, select, criteria_taus, jobs)
     out = Path(out_dir)

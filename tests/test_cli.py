@@ -53,6 +53,37 @@ def test_import_loads_only_numpy_and_the_standard_library():
     assert not foreign
 
 
+# each command's arguments with input files that do not exist, which exit 1 once read
+MISSING_INPUTS = {
+    "train": ["train", "--method", "toppush", "--data", "missing.csv"],
+    "eval": ["eval", "--model", "missing.json", "--data", "missing.csv"],
+    "grid": ["grid", "--manifest", "missing.json"],
+}
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("command", sorted(MISSING_INPUTS))
+    def test_file_in_the_way_is_usage_error_before_any_input(
+        self, tmp_path, monkeypatch, capsys, command, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"x,label\n")
+        with pytest.raises(SystemExit) as exc:
+            run(*MISSING_INPUTS[command], "--out", out)
+        assert exc.value.code == 2
+        assert f"--out {out}: taken exists and is not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_bytes() == b"x,label\n"
+
+    @pytest.mark.parametrize("command", sorted(MISSING_INPUTS))
+    def test_existing_directory_passes_to_the_inputs(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o").mkdir()
+        assert run(*MISSING_INPUTS[command], "--out", "o") == 1
+
+
 class TestSynth:
     def test_row_count(self, tmp_path):
         out = tmp_path / "ex.csv"
@@ -125,6 +156,7 @@ class TestTrain:
             (["--method", "toppush", "--minibatches", 0], "n_minibatch must be positive"),
             (["--method", "toppush", "--step-size", -1], "step_size must be non-negative"),
             (["--method", "toppush", "--seed", -1], "seed must be non-negative, got -1"),
+            (["--method", "toppush", "--k", 5], "top_push takes no k parameter"),
         ],
     )
     def test_bad_flag_value_is_usage_error_before_loading(self, tmp_path, capsys, flags, message):
@@ -219,27 +251,27 @@ class TestEval:
         assert f"{bad}:3: non-numeric feature cell" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
-    @pytest.mark.parametrize("command", ["eval", "curve"])
     @pytest.mark.parametrize("taus", ["abc", "0.5,0.5", "0,0.1", "1.5", ","])
-    def test_bad_taus_are_usage_errors(self, data_csv, tmp_path, capsys, command, taus):
+    def test_bad_taus_are_usage_errors(self, data_csv, tmp_path, capsys, taus):
         model = self.fit(data_csv, tmp_path)
         with pytest.raises(SystemExit) as exc:
             run(
-                command, "--model", model, "--data", data_csv, "--taus", taus,
+                "eval", "--model", model, "--data", data_csv, "--taus", taus,
                 "--out", tmp_path / "e",
             )
         assert exc.value.code == 2
         assert "--taus" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
-    def test_curve_command_skips_report(self, data_csv, tmp_path):
+    def test_curve_command_is_gone(self, data_csv, tmp_path):
+        # eval writes both curve CSVs; there is no second command for them
         model = self.fit(data_csv, tmp_path)
         out = tmp_path / "curves"
-        assert run("curve", "--model", model, "--data", data_csv, "--out", out) == 0
-        assert (out / "pr_curve.csv").exists()
-        assert not (out / "report.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            run("curve", "--model", model, "--data", data_csv, "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "curve"])
     @pytest.mark.parametrize(
         "positive, message",
         [
@@ -248,15 +280,13 @@ class TestEval:
         ],
         ids=["all-negative", "all-positive"],
     )
-    def test_one_class_file_is_runtime_error(
-        self, data_csv, tmp_path, capsys, command, positive, message
-    ):
+    def test_one_class_file_is_runtime_error(self, data_csv, tmp_path, capsys, positive, message):
         model = self.fit(data_csv, tmp_path)
         d = load_csv(data_csv, "label", "1")
         one_class = tmp_path / "one_class.csv"
         save_csv(d.subset(d.pos_idx if positive else d.neg_idx), one_class)
         with pytest.warns(UserWarning, match="one class"):
-            code = run(command, "--model", model, "--data", one_class, "--out", tmp_path / "e")
+            code = run("eval", "--model", model, "--data", one_class, "--out", tmp_path / "e")
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()

@@ -32,6 +32,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(np.array([[1.0, np.nan]]), [True])
 
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="features must be 2-d"):
+            Dataset(np.zeros(3), [True, False, True])
+        with pytest.raises(ValueError, match="labels shape"):
+            Dataset(np.zeros((3, 2)), [True, False])
+
     def test_immutability(self):
         d = Dataset(np.ones((2, 2)), [True, False])
         with pytest.raises(ValueError):
@@ -115,6 +121,11 @@ class TestLoadLibsvm:
     def test_non_increasing_indices(self, tmp_path):
         p = write(tmp_path / "d.svm", "1 3:1 2:1\n")
         with pytest.raises(ValueError, match="increasing"):
+            load_libsvm(p)
+
+    def test_zero_index_is_not_1_based(self, tmp_path):
+        p = write(tmp_path / "d.svm", "-1 1:1\n+1 0:1.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: indices must be 1-based"):
             load_libsvm(p)
 
     def test_malformed_token(self, tmp_path):
@@ -236,6 +247,10 @@ class TestMinibatches:
         for epoch in (0, 3):
             batches = minibatch_epoch(self.balanced(11), 3, seed=4, epoch=epoch)
             assert sorted(sum(self.rows(batches), [])) == list(range(11))
+
+    def test_zero_chunks_rejected(self):
+        with pytest.raises(ValueError, match=r"n_minibatch must be in \[1, 10\], got 0"):
+            minibatch_epoch(self.balanced(10), 0, seed=0, epoch=0)
 
     def test_singleton_chunks_are_one_class(self):
         with pytest.raises(ValueError, match="one class"):

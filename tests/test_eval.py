@@ -168,6 +168,11 @@ class TestCriterion:
         d = dataset_from_scores([3.0, 2.0], [1.0, 0.0])
         assert criterion("positives_at_top", scores(W1, d), d) == 1.0
 
+    def test_np_without_negatives_rejected(self):
+        d = dataset_from_scores([3.0, 2.0], [])
+        with pytest.raises(ValueError, match="positives_at_np undefined without negative samples"):
+            criterion("positives_at_np", scores(W1, d), d, 0.5)
+
     def test_zero_weights_tie_everywhere(self):
         d = random_dataset(np.random.default_rng(6))
         assert criterion("positives_at_quantile", scores(np.zeros(d.m), d), d, 0.3) == 1.0

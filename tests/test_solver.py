@@ -60,6 +60,10 @@ class TestAdamStep:
             adam_step(state, np.array([1.0, np.inf]), AdamParams())
         assert state.step == 0 and not state.m.any() and not state.v.any()
 
+    def test_gradient_shape_must_match_state(self):
+        with pytest.raises(ValueError, match=r"gradient shape \(2,\) does not match state"):
+            adam_step(AdamState.fresh(3), np.zeros(2), AdamParams())
+
     @pytest.mark.parametrize("dim", [1, 2, 30])
     def test_matches_functional_oracle_bitwise(self, dim):
         rng = np.random.default_rng(dim)
@@ -124,6 +128,8 @@ class TestTrainConfig:
             TrainConfig(seed=-1)
         with pytest.raises(ValueError):
             AdamParams(beta1=1.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            AdamParams(epsilon=0.0)
 
 
 class TestTrain:

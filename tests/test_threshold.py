@@ -121,6 +121,10 @@ class TestExactQuantile:
         with pytest.raises(ValueError, match="empty"):
             exact_quantile(np.array([]), 0.5)
 
+    def test_tau_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\], got 0.0"):
+            exact_quantile(np.ones(3), 0.0)
+
 
 class TestSurrogateQuantile:
     def test_zero_scores_closed_form(self):
@@ -198,6 +202,8 @@ class TestSurrogateQuantile:
             surrogate_quantile(np.ones((1, 3)), tau=0.0, beta=[1.0])
         with pytest.raises(ValueError):
             surrogate_quantile(np.ones((1, 3)), tau=0.5, beta=[0.0])
+        with pytest.raises(ValueError, match="cannot take a surrogate quantile of an empty vector"):
+            surrogate_quantile(np.empty((1, 0)), 0.1, [1.0])
 
 
 class TestRuleValidation:
@@ -220,6 +226,8 @@ class TestRuleValidation:
             ThresholdRule("top_push_k")
         with pytest.raises(ValueError, match="no k"):
             ThresholdRule("quantile", k=2, tau=0.3)
+        with pytest.raises(ValueError, match="unknown threshold kind 'nope'"):
+            ThresholdRule("nope")
 
     def test_token_mapping(self):
         assert rule_from_token("toppush").kind == "top_push"
@@ -282,6 +290,11 @@ class TestDispatch:
         with pytest.raises(ValueError, match=f"k={k + 1} exceeds the {k} negative"):
             check_pool(ThresholdRule("top_push_k", k=k + 1), d, parts)
         assert check_pool(ThresholdRule("top_mean", tau=0.5), d, parts) is None
+
+    def test_empty_pool_rejected(self):
+        d = Dataset(np.ones((3, 1)), [True, True, True])
+        with pytest.raises(ValueError, match="needs at least one sample in its score pool"):
+            threshold_scored([ThresholdRule("top_push")], np.zeros((1, 3)), d)
 
     def test_tau_pool_too_small(self):
         d = random_dataset(np.random.default_rng(4), n=12)
