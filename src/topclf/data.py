@@ -314,7 +314,7 @@ def load_libsvm(path) -> Dataset:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed token {tok!r}") from exc
                 if idx <= prev:
-                    rule = "strictly increasing" if prev else "1-based"
+                    rule = "1-based" if idx < 1 else "strictly increasing"
                     where = f"index {idx} after {prev}" if prev else f"index {idx}"
                     raise ValueError(f"{path}:{lineno}: indices must be {rule} ({where})")
                 if not math.isfinite(val):
