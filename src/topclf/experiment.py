@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DATASET_ENTRIES, Dataset, SplitSpec, check_minibatches, load_dataset, split
+from .data import DATASET_ENTRIES, Dataset, SplitSpec, load_dataset, split
 from .data import synth_example, write_csv, write_json
 from .evaluation import check_criterion, check_taus, criteria_table
-from .objective import ObjectiveSpec, evaluate, objective
+from .objective import ObjectiveSpec, SpecStack, evaluate, objective
 from .solver import TrainConfig, train
 from .surrogate import make_loss
 from .threshold import RULES, check_pool, method_params, rule_from_token, scores
@@ -444,9 +444,8 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
             raise ManifestError(f"dataset {name!r}: {exc}") from None
         for specs, points in plan:
             try:
-                check_minibatches(parts[0], cfg.n_minibatch)
-                for spec in specs:
-                    check_pool(spec.rule, parts[0], cfg.n_minibatch)
+                # the stack check that train makes before its first step
+                SpecStack(specs, parts[0], cfg.n_minibatch)
             except ValueError as exc:
                 where = f"dataset {name!r}, method {method_id(specs[0])}, training split ({within})"
                 raise ManifestError(f"{where}: {exc}") from None

@@ -27,17 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_minibatches
 from .surrogate import SurrogateLoss, HINGE
 from .threshold import (
     QUANTILE_KINDS,
+    RuleStack,
     ThresholdResult,
     ThresholdRule,
     scores,
     threshold_scored,
 )
 
-__all__ = ["ObjectiveSpec", "objective", "evaluate"]
+__all__ = ["ObjectiveSpec", "SpecStack", "objective", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,23 @@ class ObjectiveSpec:
         return self.rule.kind in QUANTILE_KINDS
 
 
+class SpecStack(tuple):
+    """Specs of one loss and a :class:`RuleStack` of their rules, checked once for ``d`` and its
+    ``parts`` minibatches, with their lambdas; :func:`evaluate` checks any other stack."""
+
+    def __new__(cls, specs: Sequence[ObjectiveSpec], d: Dataset, parts: int = 1):
+        d.require_both_classes()
+        check_minibatches(d, parts)
+        stack = super().__new__(cls, specs)
+        if len({sg.loss.kind for sg in stack}) > 1:
+            raise ValueError("a weight stack takes specs of one loss")
+        stack.rules = RuleStack([sg.rule for sg in stack], d, parts)
+        # a row with lambda 0 skips its term: adding 0 * w can turn -0.0 into 0.0
+        stack.lams = [(g, sg.lam) for g, sg in enumerate(stack) if sg.lam]
+        stack.lam = np.array([[sg.lam] for sg in stack])
+        return stack
+
+
 def evaluate(
     specs: Sequence[ObjectiveSpec], w: np.ndarray, d: Dataset
 ) -> tuple[np.ndarray, np.ndarray, ThresholdResult]:
@@ -67,22 +85,20 @@ def evaluate(
     and tau (see :func:`threshold_scored`).  Gives the G values, the (G, m) gradients and
     the stack's threshold result, each row with the bits of a one-row stack of it.
     """
-    d.require_both_classes()
+    if type(specs) is not SpecStack:
+        specs = SpecStack(specs, d)
     w = np.asarray(w, dtype=np.float64)
     if w.shape[:-1] != (len(specs),):
         raise ValueError(f"weight shape {w.shape} does not match {len(specs)} specs")
     loss = specs[0].loss
-    if any(sg.loss.kind != loss.kind for sg in specs):
-        raise ValueError("a weight stack takes specs of one loss")
     # every step below acts on each C-ordered row as a one-row stack would
     Z = scores(w, d)
-    tres = threshold_scored([sg.rule for sg in specs], Z, d, loss)
-    t = tres.t[:, None]
-    up = t - Z.take(d.pos_idx, axis=1)
+    tres = threshold_scored(specs.rules, Z, d, loss)
+    up = tres.t[:, None] - Z.take(d.pos_idx, axis=1)
 
     lup, dup = loss.value_and_deriv(up)
-    # sum / n has the same bits as mean() and skips its overhead
-    value = lup.sum(axis=1) / d.n_pos
+    # add.reduce / n has the same bits as mean() and skips its overhead
+    value = np.add.reduce(lup, axis=1) / d.n_pos
     # free each loss-value array once summed, before the gradient buffers
     del lup
     # per-sample coefficients c of the gradient c @ X, filled row by row: a
@@ -90,27 +106,27 @@ def evaluate(
     c = np.zeros(Z.shape)
     for cg, pos in zip(c, dup / -d.n_pos):
         cg[d.pos_idx] = pos
-    s = dup.sum(axis=1) / d.n_pos
+    s = np.add.reduce(dup, axis=1) / d.n_pos
 
     if specs[0].include_fp:
-        un = Z.take(d.neg_idx, axis=1) - t
+        un = Z.take(d.neg_idx, axis=1) - tres.t[:, None]
         lun, dun = loss.value_and_deriv(un)
-        value += lun.sum(axis=1) / d.n_neg
+        value += np.add.reduce(lun, axis=1) / d.n_neg
         del lun
         for cg, neg in zip(c, dun / d.n_neg):
             cg[d.neg_idx] = neg
-        s -= dun.sum(axis=1) / d.n_neg
+        s -= np.add.reduce(dun, axis=1) / d.n_neg
 
-    # support indices are distinct, so the scatter-add is exact; a single row
-    # needs no lookup of the row each index lies in
-    scale = s if len(specs) == 1 else s[tres.support // d.n]
+    # distinct support indices make the scatter-add exact; G of them are one per row, in order
+    scale = s if tres.support.size == len(s) else s[tres.support // d.n]
     c.reshape(-1)[tres.support] += scale * tres.weights
     grad = np.empty(w.shape)
-    for g, (sg, wg, cg, row) in enumerate(zip(specs, w, c, grad)):
-        np.matmul(cg, d.features, out=row)
-        if sg.lam:
-            value[g] += 0.5 * sg.lam * float(wg @ wg)
-            row += sg.lam * wg
+    # ndarray.dot: matmul's BLAS gemv and ddot, with their bits at n >= 2 (see scores)
+    for cg, row in zip(c, grad):
+        cg.dot(d.features, out=row)
+    for g, lam in specs.lams:
+        value[g] += 0.5 * lam * w[g].dot(w[g])
+    np.add(grad, specs.lam * w, out=grad, where=specs.lam != 0.0)
     return value, grad, tres
 
 

@@ -8,10 +8,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, check_minibatches, minibatch_epoch
-from .objective import ObjectiveSpec, evaluate
+from .data import Dataset, minibatch_epoch
+from .objective import ObjectiveSpec, SpecStack, evaluate
 from .surrogate import make_loss
-from .threshold import QUANTILE_KINDS, ThresholdRule, check_pool, scores, threshold_scored
+from .threshold import QUANTILE_KINDS, ThresholdRule, scores, threshold_scored
 
 __all__ = [
     "AdamParams",
@@ -183,7 +183,7 @@ def project_l2_ball(w: np.ndarray) -> np.ndarray:
 
 def _norms(w: np.ndarray) -> np.ndarray:
     """The l2 norm of each row of ``w``, one dot product per row as for a 1-D ``w``."""
-    return np.sqrt([float(wg @ wg) for wg in w.reshape(-1, w.shape[-1])])
+    return np.sqrt([wg.dot(wg) for wg in w.reshape(-1, w.shape[-1])])
 
 
 def train(
@@ -194,29 +194,22 @@ def train(
     Each iteration takes the next minibatch of the epoch schedule (the whole
     dataset when ``n_minibatch`` is 1), evaluates the objective and gradient
     on it, updates the weights and optionally projects them onto the unit
-    ball.  Bitwise deterministic for fixed inputs and seed.  A rule or minibatch
-    count that some minibatch of ``d_train`` cannot support raises before any step.
+    ball.  Bitwise deterministic for fixed inputs and seed.  A stack that
+    :class:`SpecStack` refuses on ``d_train``'s minibatches raises before any step.
 
     A sequence of G specs of one rule kind and loss trains G points in
     lockstep from the same initial weights on the same minibatches, as one
     (G, m) weight stack, and returns their G models.  Each model has the bits
     a one-spec call gives; its ``iter_ms`` is its 1/G share of each iteration.
     """
-    specs = [spec] if isinstance(spec, ObjectiveSpec) else list(spec)
-    d_train.require_both_classes()
-    check_minibatches(d_train, cfg.n_minibatch)
-    for s in specs:
-        check_pool(s.rule, d_train, cfg.n_minibatch)
+    # one check covers every batch: each pool holds at least floor(pool / n_minibatch) scores
+    specs = SpecStack([spec] if isinstance(spec, ObjectiveSpec) else spec, d_train, cfg.n_minibatch)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.init == "zeros":
-        w = np.zeros(d_train.m)
-    else:
-        w = rng.uniform(-1.0, 1.0, d_train.m)
+    w = np.zeros(d_train.m) if cfg.init == "zeros" else rng.uniform(-1.0, 1.0, d_train.m)
     w = np.tile(w, (len(specs), 1))
     project = cfg.resolve_projection(specs[0].rule)
     state = AdamState.fresh(w.shape)
-    objective_trace = np.empty((len(specs), cfg.iterations))
-    norm_trace = np.empty((len(specs), cfg.iterations))
+    objective_trace, norm_trace = np.empty((2, len(specs), cfg.iterations))
     ms_trace = np.empty(cfg.iterations)
 
     # one batch is the whole training set; more are gathered anew each epoch
@@ -242,13 +235,10 @@ def train(
         norm_trace[:, it] = _norms(w)
         ms_trace[it] = (time.perf_counter() - tic) * 1e3
 
-    rules = [s.rule for s in specs]
-    t_final = threshold_scored(rules, scores(w, d_train), d_train, specs[0].loss).t
+    t_final = threshold_scored(specs.rules, scores(w, d_train), d_train, specs[0].loss).t.tolist()
     share = ms_trace / len(specs)
     models = [
-        Model(w=w[g], spec=s, config=cfg, t_final=float(t_final[g]), history=TrainHistory(
-            objective=objective_trace[g], w_norm=norm_trace[g], iter_ms=share
-        ))
+        Model(w[g], s, cfg, t_final[g], TrainHistory(objective_trace[g], norm_trace[g], share))
         for g, s in enumerate(specs)
     ]
     return models[0] if isinstance(spec, ObjectiveSpec) else models

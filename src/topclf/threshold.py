@@ -49,6 +49,7 @@ __all__ = [
     "top_k_mean",
     "exact_quantile",
     "surrogate_quantile",
+    "RuleStack",
     "threshold_scored",
 ]
 
@@ -137,16 +138,16 @@ def rule_from_token(
 def scores(w: np.ndarray, d: Dataset) -> np.ndarray:
     """Linear scores z_i = w.x_i for every sample.
 
-    A (G, m) stack of weights gives the C-ordered (G, n) stack of their
-    scores, one matrix-vector product per row, so each row has the bits of
-    its own 1-D call.
+    A (G, m) stack of weights gives the C-ordered (G, n) stack of their scores, one
+    ``ndarray.dot`` per row: matmul's BLAS gemv without its dispatch, with its bits but
+    that a 1 x 1 product keeps a zero's sign.  Each row has the bits of its own 1-D call.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim not in (1, 2) or w.shape[-1] != d.m:
         raise ValueError(f"weight shape {w.shape} does not match {d.m} features")
     z = np.empty((*w.shape[:-1], d.n))
-    for row, wg in zip(np.atleast_2d(z), np.atleast_2d(w)):
-        np.matmul(d.features, wg, out=row)
+    for row, wg in zip(z.reshape(-1, d.n), w.reshape(-1, d.m)):
+        d.features.dot(wg, out=row)
     if not np.isfinite(z).all():
         raise ValueError("scores are not finite")
     return z
@@ -182,13 +183,15 @@ def top_k_mean(rows: np.ndarray, ks: Sequence[int]) -> tuple[np.ndarray, np.ndar
     top = rows.reshape(-1)[flat]
     # row g holds k_g of the indices; by row, then descending by value, ties
     # by low index: the order of a stable sort, as lexsort is stable
-    order = np.lexsort((-top, np.repeat(np.arange(g_rows), ks)))
+    order = np.lexsort((-top, flat // size))
     top, flat = top[order], flat[order]
-    # sum / k has the same bits as mean() and skips its overhead; one value is
-    # taken as it is, since a sum turns -0.0 into 0.0
+    # add.reduce / k has the same bits as mean(), row by row or for all rows that share k,
+    # and skips its overhead; one value is taken as it is, as a sum turns -0.0 into 0.0
+    if len(set(ks)) == 1:
+        return np.add.reduce(top.reshape(g_rows, -1), axis=1) / ks[0], flat
     t, start = np.empty(g_rows), 0
     for g, kg in enumerate(ks):
-        t[g] = top[start] if kg == 1 else top[start:start + kg].sum() / kg
+        t[g] = top[start] if kg == 1 else np.add.reduce(top[start:start + kg]) / kg
         start += kg
     return t, flat
 
@@ -248,14 +251,12 @@ def surrogate_quantile(
         py = np.concatenate((zero, np.cumsum(y, axis=1)), axis=1)
         qy = np.concatenate((zero, np.cumsum(y * y, axis=1)), axis=1)
         c = (b * b / n)[:, None] * (qy[:, :n] - 2.0 * y * py[:, :n] + j * y * y)
-    # accumulate guards the binary search against rounding wobble in the
-    # prefix-sum cancellation
-    c = np.maximum.accumulate(c, axis=1)
+    # the root lies where the `a` largest scores are active: a is the first j with c_j >= tau,
+    # or n if none is; rounding wobble in c needs no guard: c's running max first reaches tau there
+    reach = c >= tau
+    first = np.where(reach.any(axis=1), reach.argmax(axis=1), n).tolist()
     t = np.empty(g_rows)
-    for g, (cg, bg) in enumerate(zip(c, beta)):
-        # the root lies on the segment where the `a` largest scores are active;
-        # a == n when tau exceeds every breakpoint residual
-        a = int(np.searchsorted(cg, tau, side="left"))
+    for g, (a, bg) in enumerate(zip(first, beta)):
         if loss.kind == "hinge" and a >= n:
             t[g] = prefix[g, n] / n + (1.0 - tau) / bg
         elif loss.kind == "hinge":
@@ -274,6 +275,24 @@ def surrogate_quantile(
     return t
 
 
+class RuleStack(tuple):
+    """Rules of one kind and tau whose pools fit every batch of ``d`` dealt into ``parts``,
+    checked once, with their per-row constants; :func:`threshold_scored` checks any other."""
+
+    def __new__(cls, rules: Sequence[ThresholdRule], d: Dataset, parts: int = 1):
+        stack = super().__new__(cls, rules)
+        if not stack:
+            raise ValueError("the stack is empty: it needs at least one row")
+        if len({(r.kind, r.tau) for r in stack}) > 1:
+            raise ValueError("a score stack takes rules of one kind and one tau")
+        for r in stack:
+            check_pool(r, d, parts)
+        stack.k = [r.k or 1 for r in stack] if stack[0].kind in ("top_push", "top_push_k") else None
+        stack.weights = stack.k and np.repeat(1.0 / np.array(stack.k), stack.k)
+        stack.beta = np.array([r.beta for r in stack], dtype=np.float64)
+        return stack
+
+
 def threshold_scored(
     rules: Sequence[ThresholdRule], z: np.ndarray, d: Dataset, loss: SurrogateLoss = HINGE
 ) -> ThresholdResult:
@@ -283,52 +302,43 @@ def threshold_scored(
     as the points of one grid cell do; only k and beta vary by row.  Every row
     is thresholded at once, with the bits of a one-row stack of it.
     """
-    kind, tau = rules[0].kind, rules[0].tau
-    if any((r.kind, r.tau) != (kind, tau) for r in rules):
-        raise ValueError("a score stack takes rules of one kind and one tau")
+    if type(rules) is not RuleStack:
+        rules = RuleStack(rules, d)
     if z.ndim != 2:
         raise ValueError(f"score shape {z.shape} is not a (G, n) stack")
     if len(z) != len(rules):
         raise ValueError(f"{len(z)} score rows for {len(rules)} rules")
-    for r in rules:
-        # every row's rule must fit the pool, which the kind alone decides
-        sel = check_pool(r, d)
+    kind, tau = rules[0].kind, rules[0].tau
+    sel = d.neg_idx if kind in NEGATIVE_KINDS else None
     # take keeps the rows C-ordered, so their sums have the bits of one-row sums
     zsel = z if sel is None else z.take(sel, axis=1)
     g_rows, size = zsel.shape
 
     # flat indices into the C-ordered zsel, row by row, and their weights
     if kind in TOP_K_KINDS:
-        if kind == "top_push_k":
-            k = [r.k for r in rules]
-        else:
-            k = [1 if kind == "top_push" else math.ceil(tau * size)] * g_rows
+        k = rules.k or [math.ceil(tau * size)] * g_rows
         t, flat = top_k_mean(zsel, k)
-        weights = np.repeat(1.0 / np.array(k), k)
+        weights = rules.weights if rules.k else np.full(flat.size, 1.0 / k[0])
     elif kind in QUANTILE_KINDS:
         t = exact_quantile(zsel, tau)
         # gradient treated as zero: t is recomputed after every step
         flat = np.flatnonzero(zsel == t[:, None])
         weights = np.zeros(flat.size)
     else:  # surrogate quantile kinds
-        betas = [r.beta for r in rules]
-        t = surrogate_quantile(zsel, tau, betas, loss)
-        deriv = loss.deriv(np.array(betas)[:, None] * (zsel - t[:, None]))
-        denom = deriv.sum(axis=1)
+        t = surrogate_quantile(zsel, tau, rules.beta, loss)
+        deriv = loss.deriv(rules.beta[:, None] * (zsel - t[:, None]))
+        denom = np.add.reduce(deriv, axis=1)
         if (denom <= 0.0).any():
             raise ValueError(
-                "all surrogate derivatives vanished; the implicit threshold "
-                "gradient is undefined"
+                "all surrogate derivatives vanished; the implicit threshold gradient is undefined"
             )
         active = deriv > 0.0
         flat = np.flatnonzero(active)
         # each row's active derivatives over that row's sum
-        weights = deriv.reshape(-1)[flat] / np.repeat(denom, np.count_nonzero(active, axis=1))
+        weights = (deriv / denom[:, None]).reshape(-1)[flat]
     if sel is not None:
         # the flat index in the stack of every pooled score; one row's are sel's
-        if g_rows > 1:
-            sel = (np.arange(g_rows)[:, None] * z.shape[1] + sel).ravel()
-        flat = sel[flat]
+        flat = sel[flat] if g_rows == 1 else flat // size * z.shape[1] + sel[flat % size]
     return ThresholdResult(t=t, support=flat, weights=weights)
 
 

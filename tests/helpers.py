@@ -85,6 +85,44 @@ def oracle_surrogate_quantile(values, tau, beta, loss, max_iter=200):
     raise RuntimeError(f"bisection did not converge after {max_iter} iterations")
 
 
+def running_max_surrogate_quantile(rows, tau, beta, loss):
+    """The surrogate quantile of each row, its root segment found by a binary search.
+
+    Mirrors ``threshold.surrogate_quantile`` except for the search: the breakpoint
+    residuals are made non-decreasing by a running max and searched with
+    ``searchsorted``, where the package takes the first residual that reaches tau.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    g_rows, n = rows.shape
+    b = np.asarray(beta, dtype=np.float64)
+    z = np.sort(rows, axis=1)[:, ::-1]
+    j = np.arange(n)
+    zero = np.zeros((g_rows, 1))
+    if loss.kind == "hinge":
+        prefix = np.concatenate((zero, np.cumsum(z, axis=1)), axis=1)
+        c = (b / n)[:, None] * (prefix[:, :n] - j * z)
+    else:
+        y = z - z[:, :1]
+        py = np.concatenate((zero, np.cumsum(y, axis=1)), axis=1)
+        qy = np.concatenate((zero, np.cumsum(y * y, axis=1)), axis=1)
+        c = (b * b / n)[:, None] * (qy[:, :n] - 2.0 * y * py[:, :n] + j * y * y)
+    c = np.maximum.accumulate(c, axis=1)
+    t = np.empty(g_rows)
+    for g, (cg, bg) in enumerate(zip(c, beta)):
+        a = int(np.searchsorted(cg, tau, side="left"))
+        if loss.kind == "hinge" and a >= n:
+            t[g] = prefix[g, n] / n + (1.0 - tau) / bg
+        elif loss.kind == "hinge":
+            t[g] = (a + bg * prefix[g, a] - n * tau) / (bg * a)
+        else:
+            top = z[g, :a]
+            m = top.mean()
+            dev = top - m
+            s2 = max((n * tau - bg * bg * float(dev @ dev)) / a, 0.0)
+            t[g] = m + (1.0 - math.sqrt(s2)) / bg
+    return t
+
+
 def grid_solve(fun, lo, hi, levels=4, points=2000):
     """Find a zero of a monotone decreasing function by nested grid zoom."""
     for _ in range(levels):

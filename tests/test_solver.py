@@ -325,10 +325,11 @@ class TestLockstep:
         for spec, model in zip(specs, models):
             alone = train(spec, d, cfg)
             assert model.spec == spec
-            assert np.array_equal(model.w, alone.w)
-            assert np.array_equal(model.t_final, alone.t_final)
-            assert np.array_equal(model.history.objective, alone.history.objective)
-            assert np.array_equal(model.history.w_norm, alone.history.w_norm)
+            # bytes, not values: array_equal would take -0.0 for 0.0
+            assert model.w.tobytes() == alone.w.tobytes()
+            assert np.float64(model.t_final).tobytes() == np.float64(alone.t_final).tobytes()
+            assert model.history.objective.tobytes() == alone.history.objective.tobytes()
+            assert model.history.w_norm.tobytes() == alone.history.w_norm.tobytes()
 
     def test_iteration_time_is_shared_by_the_points(self):
         d = random_dataset(np.random.default_rng(18), n=60)
@@ -353,3 +354,108 @@ class TestLockstep:
         ):
             with pytest.raises(ValueError, match="rules of one kind"):
                 train(specs, d, TrainConfig(iterations=2))
+
+
+def _no_step(monkeypatch):
+    """Make any training step fail, so a refusal must come before the first one."""
+    def fail(*args):
+        raise AssertionError("a training step was taken")
+
+    for name in ("evaluate", "adam_step"):
+        monkeypatch.setattr(solver, name, fail)
+
+
+# the smallest of 4 minibatches of synth_example(30, seed=1) holds 7 of its 31 negatives
+STACK_REFUSALS = {
+    "mixed losses": (
+        [toppush_spec(), ObjectiveSpec(ThresholdRule("top_push"), loss=QUADRATIC_HINGE)], 1,
+        "a weight stack takes specs of one loss",
+    ),
+    "mixed kinds": (
+        [toppush_spec(), ObjectiveSpec(rule=ThresholdRule("top_push_k", k=2))], 1,
+        "a score stack takes rules of one kind and one tau",
+    ),
+    "mixed taus": (
+        [ObjectiveSpec(rule=rule_from_token("grill", tau=tau)) for tau in (0.1, 0.2)], 1,
+        "a score stack takes rules of one kind and one tau",
+    ),
+    "k over a batch pool": (
+        [ObjectiveSpec(rule=rule_from_token("toppushk", k=k)) for k in (2, 8)], 4,
+        "k=8 exceeds the 7 negative samples",
+    ),
+    "tau over a batch pool": (
+        [ObjectiveSpec(rule=rule_from_token("topmean-np", tau=0.1))], 4,
+        "top_mean_np needs tau * pool >= 1; got tau=0.1 over 7 samples",
+    ),
+    "empty stack": ([], 1, "the stack is empty: it needs at least one row"),
+}
+
+
+class TestStackChecks:
+    """``train`` checks a stack once, before any step; ``evaluate`` and ``threshold_scored``
+    check every stack they are given, with the same messages."""
+
+    @pytest.mark.parametrize("case", sorted(STACK_REFUSALS))
+    def test_train_refuses_before_the_first_step(self, case, monkeypatch):
+        specs, parts, message = STACK_REFUSALS[case]
+        _no_step(monkeypatch)
+        cfg = TrainConfig(iterations=3, n_minibatch=parts)
+        with pytest.raises(ValueError) as err:
+            train(specs, synth_example(30, seed=1), cfg)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", sorted(STACK_REFUSALS))
+    def test_public_layers_refuse_on_the_smallest_batch(self, case):
+        specs, parts, message = STACK_REFUSALS[case]
+        d = synth_example(30, seed=1)
+        if parts > 1:
+            d = min(minibatch_epoch(d, parts, seed=0, epoch=0), key=lambda batch: batch.n_neg)
+            assert d.n_neg == 7
+        w = np.zeros((len(specs), d.m))
+        with pytest.raises(ValueError) as err:
+            evaluate(specs, w, d)
+        assert str(err.value) == message
+        if case != "mixed losses":
+            with pytest.raises(ValueError) as err:
+                threshold_scored([sg.rule for sg in specs], scores(w, d), d)
+            assert str(err.value) == message
+
+    def test_wrong_shapes_refused(self):
+        # train builds its own (G, m) stack; the public layers check the one they are given
+        d = synth_example(30, seed=1)
+        specs = [toppush_spec(lam) for lam in (0.0, 0.1)]
+        with pytest.raises(ValueError) as err:
+            evaluate(specs, np.zeros((3, d.m)), d)
+        assert str(err.value) == "weight shape (3, 2) does not match 2 specs"
+        rules = [sg.rule for sg in specs]
+        with pytest.raises(ValueError) as err:
+            threshold_scored(rules, np.zeros(d.n), d)
+        assert str(err.value) == f"score shape ({d.n},) is not a (G, n) stack"
+        with pytest.raises(ValueError) as err:
+            threshold_scored(rules, np.zeros((3, d.n)), d)
+        assert str(err.value) == "3 score rows for 2 rules"
+
+    def test_empty_stack_is_a_clear_error(self, monkeypatch):
+        d = synth_example(30, seed=1)
+        message = "the stack is empty"
+        with pytest.raises(ValueError, match=message):
+            evaluate([], np.zeros((0, d.m)), d)
+        with pytest.raises(ValueError, match=message):
+            threshold_scored([], np.zeros((0, d.n)), d)
+        _no_step(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            train([], d, TrainConfig(iterations=2))
+
+    def test_checked_stack_is_reused_by_every_step(self, monkeypatch):
+        # the checks run once per train call, not once per iteration
+        built = []
+        original = solver.SpecStack
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "SpecStack", counted)
+        specs = default_grid_specs("toppushk", "hinge")
+        train(specs, synth_example(60, seed=2), TrainConfig(iterations=9, n_minibatch=3))
+        assert len(built) == 1

@@ -12,6 +12,7 @@ from helpers import (
     oracle_surrogate_quantile,
     oracle_top_k_mean,
     random_dataset,
+    running_max_surrogate_quantile,
     tied_integer_dataset,
 )
 from topclf.data import Dataset, synth_example
@@ -183,6 +184,25 @@ class TestSurrogateQuantile:
             assert abs(t - oracle) <= 1e-9 * max(1.0, abs(oracle))
             if active is not None:
                 assert np.count_nonzero(beta * (values - t) > -1.0) == active
+
+    def test_first_crossing_matches_running_max_search(self):
+        # the first residual that reaches tau is the segment a binary search over the
+        # running max of the residuals finds, so every root has the same bytes
+        rng = np.random.default_rng(2701)
+        for case in range(3000):
+            loss = (HINGE, QUADRATIC_HINGE)[case % 2]
+            g_rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 301))
+            rows = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(g_rows, n))
+            if case % 3 == 1:
+                rows = np.round(rows)  # rounded ties
+            if case % 5 == 2:
+                rows[0] = rows[0, 0]  # an all-tied row
+            if case % 7 == 3:
+                rows += 1e9
+            tau = float(rng.uniform(0.01, 0.99))
+            beta = (10.0 ** rng.uniform(-4, 1, g_rows)).tolist()
+            got = surrogate_quantile(rows, tau, beta, loss)
+            assert got.tobytes() == running_max_surrogate_quantile(rows, tau, beta, loss).tobytes()
 
     def test_quadratic_scan_ignores_score_offset(self):
         values = np.random.default_rng(17).normal(size=2000)
