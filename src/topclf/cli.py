@@ -14,11 +14,11 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, load_dataset, save_csv, synth_example, write_csv, write_json
-from .evaluation import build_report, check_taus, write_curve_csv
+from .evaluation import CRITERIA_TAUS, build_report, check_taus, write_curve_csv
 from .experiment import ManifestError, reproduce_worked_example, run_manifest
 from .objective import ObjectiveSpec
-from .solver import Model, TrainConfig, train
-from .surrogate import make_loss
+from .solver import AdamParams, Model, TrainConfig, train
+from .surrogate import HINGE, make_loss
 from .threshold import CLI_TOKENS, ThresholdRule, method_params
 
 
@@ -158,16 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a linear model")
     p.add_argument("--method", required=True, choices=sorted(CLI_TOKENS))
     p.add_argument("--tau", type=float)
-    p.add_argument("--loss", choices=("hinge", "quadratic_hinge"), default="hinge")
+    p.add_argument("--loss", choices=("hinge", "quadratic_hinge"), default=HINGE.kind)
     p.add_argument("--beta", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=ObjectiveSpec.lam)
     _add_data_args(p)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--minibatches", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", choices=("zeros", "uniform"), default="zeros")
-    p.add_argument("--step-size", type=float, default=0.01)
+    p.add_argument("--iters", type=int, default=TrainConfig.iterations)
+    p.add_argument("--minibatches", type=int, default=TrainConfig.n_minibatch)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--init", choices=("zeros", "uniform"), default=TrainConfig.init)
+    p.add_argument("--step-size", type=float, default=AdamParams.step_size)
     p.add_argument(
         "--project",
         choices=("auto", "on", "off"),
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model.json from train")
     _add_data_args(p)
     p.add_argument(
-        "--taus", type=_parse_taus, default="0.01,0.03", help="comma-separated quantiles"
+        "--taus", type=_parse_taus, default=CRITERIA_TAUS, help="comma-separated quantiles"
     )
     p.add_argument("--out", required=True, help="output directory")
 

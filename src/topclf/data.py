@@ -145,9 +145,9 @@ def load_csv(path, label_column: str, positive_value: str) -> Dataset:
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     raw = path.read_bytes()
-    text = raw.decode("utf-8")
+    text = raw.decode("utf-8-sig")
     # a wrapper over the same bytes reads rows lazily, where a StringIO would copy the text
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
     try:
         header = next(rows)
     except StopIteration:
@@ -296,7 +296,7 @@ def load_libsvm(path) -> Dataset:
         raise FileNotFoundError(f"no such file: {path}")
     # each entry's row, 0-based column and value, in file order, and each row's label
     rows, cols, vals, labels = [], [], [], []
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 CRITERION_KINDS = ("positives_at_top", "positives_at_quantile", "positives_at_np")
+CRITERIA_TAUS = (0.01, 0.03)  # the taus criteria are taken at unless a run names its own
 
 
 @dataclass(frozen=True)

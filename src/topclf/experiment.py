@@ -29,11 +29,11 @@ import numpy as np
 
 from .data import DATASET_ENTRIES, Dataset, SplitSpec, load_dataset, split
 from .data import synth_example, write_csv, write_json
-from .evaluation import check_criterion, check_taus, criteria_table
+from .evaluation import CRITERIA_TAUS, check_criterion, check_taus, criteria_table
 from .objective import ObjectiveSpec, SpecStack, evaluate, objective
 from .solver import TrainConfig, train
-from .surrogate import make_loss
-from .threshold import RULES, check_pool, method_params, rule_from_token, scores
+from .surrogate import HINGE, make_loss
+from .threshold import RULES, RuleStack, method_params, rule_from_token, scores
 
 __all__ = [
     "Grid",
@@ -274,7 +274,7 @@ def reproduce_worked_example(
     specs = {}
     for token in ("toppush", "toppushk", "grill", "patmat", "topmean"):
         specs[token] = ObjectiveSpec(rule=rule_from_token(token, k=k, tau=tau, beta=beta))
-        check_pool(specs[token].rule, stand_in)
+        RuleStack([specs[token].rule], stand_in)
     d = synth_example(n, seed)
     w1 = np.zeros(2)
     w2 = np.array([1.0, 0.0])
@@ -398,12 +398,12 @@ def run_manifest(manifest: dict, out_dir, jobs: int = 1) -> dict:
         raise ManifestError(f"jobs must be at least 1, got {jobs}")
     _check_manifest(manifest)
     select_doc = manifest["select"]
-    criteria_taus = manifest.get("criteria_taus", [0.01, 0.03])
+    criteria_taus = manifest.get("criteria_taus", CRITERIA_TAUS)
     try:
         grid = Grid(**manifest.get("grid", {}))
         cfg = TrainConfig(**manifest.get("train", {}))
         spec_split = SplitSpec(**manifest.get("split", {}))
-        loss = make_loss(manifest.get("loss", "hinge"))
+        loss = make_loss(manifest.get("loss", HINGE.kind))
         select = SelectCriterion(kind=select_doc.get("criterion"), tau=select_doc.get("tau"))
         for tau in criteria_taus:
             check_taus([tau])

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, minibatch_epoch
 from .objective import ObjectiveSpec, SpecStack, evaluate
-from .surrogate import make_loss
+from .surrogate import HINGE, make_loss
 from .threshold import QUANTILE_KINDS, ThresholdRule, scores, threshold_scored
 
 __all__ = [
@@ -133,8 +133,8 @@ class Model:
         spec_doc = doc["spec"]
         spec = ObjectiveSpec(
             rule=ThresholdRule(**spec_doc["rule"]),
-            loss=make_loss(spec_doc.get("loss", "hinge")),
-            lam=spec_doc.get("lambda", 0.0),
+            loss=make_loss(spec_doc.get("loss", HINGE.kind)),
+            lam=spec_doc.get("lambda", ObjectiveSpec.lam),
         )
         empty = TrainHistory(np.array([]), np.array([]), np.array([]))
         return cls(

@@ -285,9 +285,17 @@ class RuleStack(tuple):
             raise ValueError("the stack is empty: it needs at least one row")
         if len({(r.kind, r.tau) for r in stack}) > 1:
             raise ValueError("a score stack takes rules of one kind and one tau")
-        for r in stack:
-            check_pool(r, d, parts)
-        stack.k = [r.k or 1 for r in stack] if stack[0].kind in ("top_push", "top_push_k") else None
+        kind, tau = stack[0].kind, stack[0].tau
+        # the smallest pool of d dealt into parts minibatches: floor(pool / parts) scores
+        pool = (d.n_neg if kind in NEGATIVE_KINDS else d.n) // parts
+        if pool == 0:
+            raise ValueError(f"{kind} needs at least one sample in its score pool")
+        stack.k = [r.k or 1 for r in stack] if kind in ("top_push", "top_push_k") else None
+        for k in stack.k or ():
+            if k > pool:
+                raise ValueError(f"k={k} exceeds the {pool} negative samples")
+        if kind in TAU_POOL_KINDS and tau * pool < 1.0:
+            raise ValueError(f"{kind} needs tau * pool >= 1; got tau={tau} over {pool} samples")
         stack.weights = stack.k and np.repeat(1.0 / np.array(stack.k), stack.k)
         stack.beta = np.array([r.beta for r in stack], dtype=np.float64)
         return stack
@@ -340,21 +348,3 @@ def threshold_scored(
         # the flat index in the stack of every pooled score; one row's are sel's
         flat = sel[flat] if g_rows == 1 else flat // size * z.shape[1] + sel[flat % size]
     return ThresholdResult(t=t, support=flat, weights=weights)
-
-
-def check_pool(rule: ThresholdRule, d: Dataset, parts: int = 1) -> np.ndarray | None:
-    """The rows of ``d`` whose scores ``rule`` thresholds over: its negatives,
-    or None for every row.  Raises unless the smallest pool of ``d`` dealt into
-    ``parts`` minibatches, floor(pool / parts) scores, can support ``rule``.
-    """
-    sel = d.neg_idx if rule.kind in NEGATIVE_KINDS else None
-    pool_size = (d.n if sel is None else sel.size) // parts
-    if pool_size == 0:
-        raise ValueError(f"{rule.kind} needs at least one sample in its score pool")
-    if rule.kind == "top_push_k" and rule.k > pool_size:
-        raise ValueError(f"k={rule.k} exceeds the {pool_size} negative samples")
-    if rule.kind in TAU_POOL_KINDS and rule.tau * pool_size < 1.0:
-        raise ValueError(
-            f"{rule.kind} needs tau * pool >= 1; got tau={rule.tau} over {pool_size} samples"
-        )
-    return sel

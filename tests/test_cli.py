@@ -11,8 +11,12 @@ from test_experiment import GRID_ARTIFACTS, grid_artifacts
 
 import topclf
 from topclf import experiment
-from topclf.cli import main
+from topclf.cli import build_parser, main
 from topclf.data import Dataset, load_csv, save_csv, synth_example
+from topclf.evaluation import CRITERIA_TAUS
+from topclf.objective import ObjectiveSpec
+from topclf.solver import TrainConfig
+from topclf.threshold import ThresholdRule
 
 
 @pytest.fixture()
@@ -206,6 +210,17 @@ class TestTrain:
         run(*args, "--out", tmp_path / "r2")
         for name in ("model.json", "history.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    def test_parser_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["train", "--method", "toppush", "--data", "d", "--out", "o"])
+        cfg, spec = TrainConfig(), ObjectiveSpec(rule=ThresholdRule("top_push"))
+        assert (args.iters, args.minibatches, args.seed, args.init, args.step_size) == (
+            cfg.iterations, cfg.n_minibatch, cfg.seed, cfg.init, cfg.adam.step_size
+        )
+        assert (args.lam, args.loss) == (spec.lam, spec.loss.kind)
+        args = parser.parse_args(["eval", "--model", "m", "--data", "d", "--out", "o"])
+        assert args.taus == CRITERIA_TAUS
 
 
 class TestEval:

@@ -67,6 +67,15 @@ class TestLoadCsv:
         d = load_csv(p, "y", "yes")
         assert d.labels.tolist() == [True, False]
 
+    # the quoted file takes the row-by-row parse
+    @pytest.mark.parametrize("row", ["1,0.5,1", '"1",0.5,1'])
+    def test_byte_order_mark_skipped(self, tmp_path, row):
+        text = f"label,x0,x1\n{row}\n0,2,-1\n"
+        d = load_csv(write(tmp_path / "d.csv", text), "label", "1")
+        bom = load_csv(write(tmp_path / "bom.csv", "\ufeff" + text), "label", "1")
+        assert bom.features.tobytes() == d.features.tobytes()
+        assert bom.labels.tolist() == d.labels.tolist() == [True, False]
+
     def test_nan_feature_rejected(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y\nNaN,1\n")
         with pytest.raises(ValueError, match="non-finite"):
@@ -117,6 +126,13 @@ class TestLoadLibsvm:
         p = write(tmp_path / "d.svm", "1 1:1\n0 1:2\n")
         d = load_libsvm(p)
         assert d.labels.tolist() == [True, False]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = "+1 1:0.5 3:2.0\n-1 2:1\n"
+        d = load_libsvm(write(tmp_path / "d.svm", text))
+        bom = load_libsvm(write(tmp_path / "bom.svm", "\ufeff" + text))
+        assert bom.features.tobytes() == d.features.tobytes()
+        assert bom.labels.tolist() == d.labels.tolist() == [True, False]
 
     def test_non_increasing_indices(self, tmp_path):
         p = write(tmp_path / "d.svm", "1 3:1 2:1\n")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import central_diff, oracle_adam_step, random_dataset
-from topclf import solver
+from topclf import experiment, solver
 from topclf.data import Dataset, minibatch_epoch, synth_example
-from topclf.experiment import Grid, grid_points
+from topclf.experiment import Grid, ManifestError, grid_points, run_manifest
 from topclf.objective import ObjectiveSpec, evaluate, objective
 from topclf.solver import (
     AdamParams,
@@ -22,6 +22,7 @@ from topclf.solver import (
 from topclf.surrogate import QUADRATIC_HINGE, make_loss
 from topclf.threshold import (
     CLI_TOKENS,
+    RuleStack,
     ThresholdRule,
     method_params,
     rule_from_token,
@@ -459,3 +460,43 @@ class TestStackChecks:
         specs = default_grid_specs("toppushk", "hinge")
         train(specs, synth_example(60, seed=2), TrainConfig(iterations=9, n_minibatch=3))
         assert len(built) == 1
+
+
+class TestFirstRowOverThePool:
+    """A k stack names its first row, in row order, whose k the smallest batch pool cannot
+    hold: the same refusal from the stack itself, from train and from a grid run."""
+
+    ks = (2, 9, 8)
+    message = "k=9 exceeds the 7 negative samples"
+
+    def test_rule_stack(self):
+        rules = [rule_from_token("toppushk", k=k) for k in self.ks]
+        with pytest.raises(ValueError) as err:
+            RuleStack(rules, synth_example(30, seed=1), 4)
+        assert str(err.value) == self.message
+
+    def test_train_refuses_before_the_first_step(self, monkeypatch):
+        specs = [ObjectiveSpec(rule=rule_from_token("toppushk", k=k)) for k in self.ks]
+        _no_step(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            train(specs, synth_example(30, seed=1), TrainConfig(iterations=3, n_minibatch=4))
+        assert str(err.value) == self.message
+
+    def test_grid_run_names_the_dataset_and_method(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a grid point was trained")
+
+        monkeypatch.setattr(experiment, "train", fail)
+        # the training split of synth n=30 holds 15 negatives, 7 in the smaller of 2 minibatches
+        manifest = {
+            "datasets": [{"name": "s", "format": "synth", "n": 30, "seed": 0}],
+            "methods": [{"method": "toppushk"}],
+            "grid": {"ks": list(self.ks)},
+            "train": {"iterations": 3, "n_minibatch": 2},
+            "select": {"criterion": "positives_at_top"},
+        }
+        with pytest.raises(ManifestError) as err:
+            run_manifest(manifest, tmp_path / "out")
+        where = "dataset 's', method toppushk, training split (smallest of 2 minibatches)"
+        assert str(err.value) == f"{where}: {self.message}"
+        assert not (tmp_path / "out").exists()

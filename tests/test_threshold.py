@@ -21,8 +21,8 @@ from topclf.surrogate import HINGE, QUADRATIC_HINGE
 from topclf.threshold import (
     NEGATIVE_KINDS,
     RULES,
+    RuleStack,
     ThresholdRule,
-    check_pool,
     exact_quantile,
     rule_from_token,
     scores,
@@ -303,13 +303,18 @@ class TestDispatch:
             threshold_scored([rule], scores(np.ones((1, d.m)), d), d)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_check_pool_reads_the_smallest_minibatch_pool(self, parts):
+    def test_rule_stack_reads_the_smallest_minibatch_pool(self, parts):
         d = random_dataset(np.random.default_rng(5), n=23)
-        k = d.n_neg // parts
-        assert check_pool(ThresholdRule("top_push_k", k=k), d, parts) is d.neg_idx
+        k, pool = d.n_neg // parts, d.n // parts
+        RuleStack([ThresholdRule("top_push_k", k=k)], d, parts)
         with pytest.raises(ValueError, match=f"k={k + 1} exceeds the {k} negative"):
-            check_pool(ThresholdRule("top_push_k", k=k + 1), d, parts)
-        assert check_pool(ThresholdRule("top_mean", tau=0.5), d, parts) is None
+            RuleStack([ThresholdRule("top_push_k", k=k + 1)], d, parts)
+        RuleStack([ThresholdRule("top_mean", tau=0.5)], d, parts)
+        tau = 0.99 / pool
+        with pytest.raises(ValueError) as err:
+            RuleStack([ThresholdRule("top_mean", tau=tau)], d, parts)
+        message = f"top_mean needs tau * pool >= 1; got tau={tau} over {pool} samples"
+        assert str(err.value) == message
 
     def test_empty_pool_rejected(self):
         d = Dataset(np.ones((3, 1)), [True, True, True])
